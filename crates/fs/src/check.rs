@@ -275,7 +275,7 @@ mod tests {
             let victim = (fs.geo.data_start..fs.geo.num_blocks)
                 .find(|&b| !bitmap.is_used(b).unwrap())
                 .unwrap();
-            bitmap.set(victim, true).unwrap();
+            bitmap.set(&[victim], true).unwrap();
         }
         let report = fs.check().unwrap();
         assert!(
@@ -299,7 +299,7 @@ mod tests {
                 }
             }
             assert_ne!(block, 0);
-            bitmap.set(block, false).unwrap();
+            bitmap.set(&[block], false).unwrap();
         }
         let report = fs.check().unwrap();
         assert!(

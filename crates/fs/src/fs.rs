@@ -35,6 +35,29 @@ impl Metadata {
     }
 }
 
+/// A write's block mapping, from [`FileSystem::map_for_write`].
+struct WriteMap {
+    /// Each logical block's device block, and whether it was just claimed.
+    blocks: Vec<(u64, bool)>,
+    /// The indirect table, when the mapping changed it.
+    table: Option<(BlockIndex, BlockData)>,
+    /// Whether the table was just claimed: nothing reaches it before the
+    /// inode is written, so it may travel with the data.
+    fresh_table: bool,
+}
+
+/// The pointer for `logical` in `inode`, 0 for a hole; `table` is the
+/// inode's indirect table, if the lookup may reach it.
+fn pointer(inode: &Inode, table: Option<&[u8]>, logical: u64) -> u32 {
+    match logical.checked_sub(DIRECT_POINTERS as u64) {
+        None => inode.direct[logical as usize],
+        Some(entry) => table.map_or(0, |t| {
+            let idx = entry as usize * 4;
+            (&t[idx..idx + 4]).get_u32_le()
+        }),
+    }
+}
+
 /// A UNIX-like file system over any [`BlockDevice`].
 ///
 /// The type is generic over the device: format it onto a
@@ -79,14 +102,19 @@ impl<D: BlockDevice> FileSystem<D> {
     /// unusable geometry, or a device error.
     pub fn format(dev: D) -> FsResult<Self> {
         let geo = FsGeometry::plan(dev.num_blocks(), dev.block_size())?;
-        // Zero the metadata region so stale images cannot leak through.
-        for block in 0..geo.data_start {
-            dev.write_block(
-                BlockIndex::new(block),
-                BlockData::zeroed(geo.block_size as usize),
-            )?;
-        }
-        dev.write_block(BlockIndex::new(0), BlockData::from(geo.encode()))?;
+        // Lay down the superblock and zero the rest of the metadata region,
+        // so stale images cannot leak through, in one vectored write.
+        let region: Vec<(BlockIndex, BlockData)> = (0..geo.data_start)
+            .map(|block| {
+                let image = if block == 0 {
+                    BlockData::from(geo.encode())
+                } else {
+                    BlockData::zeroed(geo.block_size as usize)
+                };
+                (BlockIndex::new(block), image)
+            })
+            .collect();
+        dev.write_blocks(&region)?;
         {
             let bitmap = Bitmap::new(&dev, &geo);
             bitmap.reserve_metadata()?;
@@ -178,109 +206,110 @@ impl<D: BlockDevice> FileSystem<D> {
 
     // ----- block mapping ---------------------------------------------------
 
-    /// Maps a logical file block to a device block, allocating on demand.
-    /// Returns `None` for an unallocated hole when `allocate` is false.
-    fn map_block(&self, inode: &mut Inode, logical: u64, allocate: bool) -> FsResult<Option<u64>> {
+    /// Rejects a logical block range ending past the pointer capacity.
+    fn check_range(&self, end: u64) -> FsResult<()> {
         let pointers_per_block = self.geo.block_size as u64 / 4;
-        if logical >= DIRECT_POINTERS as u64 + pointers_per_block {
+        if end > DIRECT_POINTERS as u64 + pointers_per_block {
             return Err(FsError::FileTooLarge);
         }
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
-        if logical < DIRECT_POINTERS as u64 {
-            let slot = &mut inode.direct[logical as usize];
-            if *slot == 0 {
-                if !allocate {
-                    return Ok(None);
-                }
-                *slot = bitmap.alloc()? as u32;
-            }
-            return Ok(Some(*slot as u64));
-        }
-        // Indirect block.
+        Ok(())
+    }
+
+    /// The inode's indirect pointer table, or `None` when it has none.
+    fn indirect_table(&self, inode: &Inode) -> FsResult<Option<Vec<u8>>> {
         if inode.indirect == 0 {
-            if !allocate {
-                return Ok(None);
-            }
-            inode.indirect = bitmap.alloc()? as u32;
-        }
-        let iblock = BlockIndex::new(inode.indirect as u64);
-        let raw = self.dev.read_block(iblock)?;
-        let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-        let entry = (&raw.as_slice()[idx..idx + 4]).get_u32_le();
-        if entry != 0 {
-            // Already mapped: no need to copy the table just to read one slot.
-            return Ok(Some(entry as u64));
-        }
-        if !allocate {
             return Ok(None);
         }
-        let entry = bitmap.alloc()? as u32;
-        let mut table = raw.as_slice().to_vec();
-        (&mut table[idx..idx + 4]).put_u32_le(entry);
-        self.dev.write_block(iblock, BlockData::from(table))?;
-        Ok(Some(entry as u64))
+        let raw = self
+            .dev
+            .read_block(BlockIndex::new(inode.indirect as u64))?;
+        Ok(Some(raw.as_slice().to_vec()))
     }
 
-    /// Maps `count` consecutive logical blocks starting at `first`,
-    /// allocating on demand — the vectored counterpart of
-    /// [`map_block`](Self::map_block). The indirect pointer table is read
-    /// once and written back at most once for the whole run, so an N-block
-    /// mapping costs O(1) device rounds instead of O(N).
-    fn map_blocks(
-        &self,
-        inode: &mut Inode,
-        first: u64,
-        count: usize,
-        allocate: bool,
-    ) -> FsResult<Vec<Option<u64>>> {
-        let pointers_per_block = self.geo.block_size as u64 / 4;
-        if first + count as u64 > DIRECT_POINTERS as u64 + pointers_per_block {
-            return Err(FsError::FileTooLarge);
-        }
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
+    /// Maps `count` consecutive logical blocks starting at `first` to
+    /// device blocks, `None` for holes. The indirect pointer table is read
+    /// at most once for the whole run.
+    fn map_blocks(&self, inode: &Inode, first: u64, count: usize) -> FsResult<Vec<Option<u64>>> {
         let end = first + count as u64;
-        let mut out = Vec::with_capacity(count);
-        let mut logical = first;
-        // Direct pointers live in the inode: no device I/O to map them.
-        while logical < end && logical < DIRECT_POINTERS as u64 {
-            let slot = &mut inode.direct[logical as usize];
-            if *slot == 0 && allocate {
-                *slot = bitmap.alloc()? as u32;
-            }
-            out.push((*slot != 0).then_some(*slot as u64));
-            logical += 1;
-        }
-        if logical >= end {
-            return Ok(out);
-        }
-        if inode.indirect == 0 {
-            if !allocate {
-                out.extend(std::iter::repeat_n(None, (end - logical) as usize));
-                return Ok(out);
-            }
-            inode.indirect = bitmap.alloc()? as u32;
-        }
-        let iblock = BlockIndex::new(inode.indirect as u64);
-        let mut table = self.dev.read_block(iblock)?.as_slice().to_vec();
-        let mut dirty = false;
-        while logical < end {
-            let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-            let mut entry = (&table[idx..idx + 4]).get_u32_le();
-            if entry == 0 && allocate {
-                entry = bitmap.alloc()? as u32;
-                (&mut table[idx..idx + 4]).put_u32_le(entry);
-                dirty = true;
-            }
-            out.push((entry != 0).then_some(entry as u64));
-            logical += 1;
-        }
-        if dirty {
-            self.dev.write_block(iblock, BlockData::from(table))?;
-        }
-        Ok(out)
+        self.check_range(end)?;
+        let table = if end > DIRECT_POINTERS as u64 {
+            self.indirect_table(inode)?
+        } else {
+            None
+        };
+        Ok((first..end)
+            .map(|logical| pointer(inode, table.as_deref(), logical))
+            .map(|p| (p != 0).then_some(p as u64))
+            .collect())
     }
 
-    fn read_at(&self, inode: &mut Inode, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+    /// Maps `count` consecutive logical blocks starting at `first` for a
+    /// write, claiming every unmapped one — and a fresh indirect table when
+    /// the run needs one — in one all-or-nothing bitmap round. Claimed
+    /// blocks are handed out in logical order, the table before its
+    /// entries. Nothing but the bitmap is written: the caller persists the
+    /// data (with a fresh table), then an updated old table, then the inode.
+    fn map_for_write(&self, inode: &mut Inode, first: u64, count: usize) -> FsResult<WriteMap> {
+        let end = first + count as u64;
+        self.check_range(end)?;
+        let direct = DIRECT_POINTERS as u64;
+        let fresh_table = end > direct && inode.indirect == 0;
+        let mut table = if end <= direct {
+            None
+        } else if fresh_table {
+            // A fresh table starts from zeros, never from the block's
+            // stale contents.
+            Some(vec![0u8; self.geo.block_size as usize])
+        } else {
+            self.indirect_table(inode)?
+        };
+        let mut blocks: Vec<(u64, bool)> = (first..end)
+            .map(|logical| (pointer(inode, table.as_deref(), logical) as u64, false))
+            .collect();
+        let missing = blocks.iter().filter(|&&(b, _)| b == 0).count() + usize::from(fresh_table);
+        let mut claimed = Bitmap::new(&self.dev, &self.geo)
+            .alloc(missing)?
+            .into_iter();
+        let mut next = || -> u32 {
+            claimed
+                .next()
+                .expect("alloc returns one block per missing pointer") as u32
+        };
+        let mut table_dirty = false;
+        for (logical, (block, fresh)) in (first..end).zip(&mut blocks) {
+            if *block != 0 {
+                continue;
+            }
+            if logical < direct {
+                inode.direct[logical as usize] = next();
+                *block = inode.direct[logical as usize] as u64;
+            } else {
+                if inode.indirect == 0 {
+                    inode.indirect = next();
+                }
+                let entry = next();
+                let idx = (logical - direct) as usize * 4;
+                let table = table.as_mut().expect("indirect runs carry the table");
+                (&mut table[idx..idx + 4]).put_u32_le(entry);
+                table_dirty = true;
+                *block = entry as u64;
+            }
+            *fresh = true;
+        }
+        let table = table.filter(|_| table_dirty).map(|table| {
+            (
+                BlockIndex::new(inode.indirect as u64),
+                BlockData::from(table),
+            )
+        });
+        Ok(WriteMap {
+            blocks,
+            table,
+            fresh_table,
+        })
+    }
+
+    fn read_at(&self, inode: &Inode, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let bs = self.geo.block_size as u64;
         let end = (offset + len as u64).min(inode.size);
         if offset >= end {
@@ -288,7 +317,7 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         let first = offset / bs;
         let count = ((end - 1) / bs - first + 1) as usize;
-        let mapped = self.map_blocks(inode, first, count, false)?;
+        let mapped = self.map_blocks(inode, first, count)?;
         // One vectored device round for every allocated block of the range.
         let wanted: Vec<BlockIndex> = mapped
             .iter()
@@ -313,6 +342,12 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(out)
     }
 
+    /// Writes `data` at `offset` in the order bitmap → data → indirect
+    /// table, leaving the inode (updated in memory) for the caller to
+    /// persist last. So every freshly allocated block is fully written
+    /// before any pointer to it is persisted, and a write that runs out of
+    /// space changes nothing. A fresh indirect table rides in the data
+    /// batch, last: only the inode write makes it reachable.
     fn write_at(&self, inode: &mut Inode, offset: u64, data: &[u8]) -> FsResult<()> {
         if data.is_empty() {
             return Ok(());
@@ -324,102 +359,103 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         let first = offset / bs;
         let count = ((end - 1) / bs - first + 1) as usize;
-        let mapped = self.map_blocks(inode, first, count, true)?;
-        // Chunk the byte range per block: (device block, within, take, src offset).
+        let map = self.map_for_write(inode, first, count)?;
+        // Chunk the byte range per block: (device block, read old contents,
+        // within, take, src offset). Only partially covered blocks that
+        // already held data (at most the first and last chunk) need their
+        // old contents; a fresh block's old contents are zeros by
+        // definition, whatever its stale image on the device.
         let mut chunks = Vec::with_capacity(count);
         let mut pos = offset;
-        for slot in mapped {
+        for (block, fresh) in map.blocks {
             let within = (pos % bs) as usize;
             let take = ((bs as usize) - within).min((end - pos) as usize);
-            let block = slot.expect("allocate=true always maps");
-            chunks.push((block, within, take, (pos - offset) as usize));
+            let rmw = !fresh && take != bs as usize;
+            chunks.push((block, rmw, within, take, (pos - offset) as usize));
             pos += take as u64;
         }
-        // Only partially covered blocks (at most the first and last chunk)
-        // need their old contents; fetch them in one vectored round.
+        // Fetch the old contents in one vectored round.
         let partial: Vec<BlockIndex> = chunks
             .iter()
-            .filter(|&&(_, _, take, _)| take != bs as usize)
+            .filter(|&&(_, rmw, ..)| rmw)
             .map(|&(block, ..)| BlockIndex::new(block))
             .collect();
         let mut old = self.dev.read_blocks(&partial)?.into_iter();
-        let mut writes = Vec::with_capacity(chunks.len());
-        for (block, within, take, src_off) in chunks {
+        let mut writes = Vec::with_capacity(chunks.len() + 1);
+        for (block, rmw, within, take, src_off) in chunks {
             let src = &data[src_off..src_off + take];
             let payload = if take == bs as usize {
                 // Full-block overwrite: no read, no copy of the old block.
                 BlockData::from(src)
             } else {
-                let mut raw = old
-                    .next()
-                    .expect("one fetched block per partial chunk")
-                    .as_slice()
-                    .to_vec();
+                let mut raw = if rmw {
+                    old.next()
+                        .expect("one fetched block per partial chunk")
+                        .as_slice()
+                        .to_vec()
+                } else {
+                    vec![0u8; bs as usize]
+                };
                 raw[within..within + take].copy_from_slice(src);
                 BlockData::from(raw)
             };
             writes.push((BlockIndex::new(block), payload));
         }
+        let mut table = map.table;
+        if map.fresh_table {
+            writes.extend(table.take());
+        }
         self.dev.write_blocks(&writes)?;
+        if let Some((iblock, table)) = table {
+            self.dev.write_block(iblock, table)?;
+        }
         inode.size = inode.size.max(end);
         Ok(())
     }
 
+    /// Frees every block `inode` owns — data blocks and the indirect
+    /// table — in one bitmap round. Callers first persist the inode's
+    /// release, so no pointer to a cleared bit survives a crash.
     fn free_blocks_of(&self, inode: &Inode) -> FsResult<()> {
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
-        for &p in &inode.direct {
-            if p != 0 {
-                bitmap.free(p as u64)?;
-            }
+        let mut blocks: Vec<u64> = inode.direct.iter().map(|&p| p as u64).collect();
+        if let Some(table) = self.indirect_table(inode)? {
+            blocks.extend(table.chunks_exact(4).map(|mut e| e.get_u32_le() as u64));
+            blocks.push(inode.indirect as u64);
         }
-        if inode.indirect != 0 {
-            let raw = self
-                .dev
-                .read_block(BlockIndex::new(inode.indirect as u64))?;
-            let mut slice = raw.as_slice();
-            while slice.len() >= 4 {
-                let p = slice.get_u32_le();
-                if p != 0 {
-                    bitmap.free(p as u64)?;
-                }
-            }
-            bitmap.free(inode.indirect as u64)?;
-        }
-        Ok(())
+        blocks.retain(|&b| b != 0);
+        Bitmap::new(&self.dev, &self.geo).free(&blocks)
     }
 
     // ----- directory internals ----------------------------------------------
 
+    /// Every slot of a directory — `None` for a free one — with its byte
+    /// offset, from one read of the whole entry table.
+    fn dir_slots(&self, dir: &Inode) -> FsResult<Vec<(u64, Option<Dirent>)>> {
+        let raw = self.read_at(dir, 0, dir.size as usize)?;
+        Ok(raw
+            .chunks_exact(DIRENT_SIZE)
+            .enumerate()
+            .map(|(i, rec)| ((i * DIRENT_SIZE) as u64, Dirent::decode(rec)))
+            .collect())
+    }
+
     fn lookup(&self, dir_ino: u32, name: &str) -> FsResult<Option<(u32, u64)>> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
-        let mut offset = 0;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if let Some(entry) = Dirent::decode(&raw) {
-                if entry.name == name {
-                    return Ok(Some((entry.ino, offset)));
-                }
-            }
-            offset += DIRENT_SIZE as u64;
-        }
-        Ok(None)
+        let dir = InodeTable::new(&self.dev, &self.geo).read(dir_ino)?;
+        Ok(self
+            .dir_slots(&dir)?
+            .into_iter()
+            .find_map(|(offset, entry)| entry.filter(|e| e.name == name).map(|e| (e.ino, offset))))
     }
 
     fn dir_insert(&self, dir_ino: u32, name: &str, ino: u32) -> FsResult<()> {
         let inodes = InodeTable::new(&self.dev, &self.geo);
         let mut dir = inodes.read(dir_ino)?;
         // Reuse a free slot if one exists; otherwise append.
-        let mut offset = 0;
-        let mut slot = dir.size;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if Dirent::decode(&raw).is_none() {
-                slot = offset;
-                break;
-            }
-            offset += DIRENT_SIZE as u64;
-        }
+        let slot = self
+            .dir_slots(&dir)?
+            .into_iter()
+            .find_map(|(offset, entry)| entry.is_none().then_some(offset))
+            .unwrap_or(dir.size);
         let record = Dirent {
             ino,
             name: name.to_string(),
@@ -442,18 +478,12 @@ impl<D: BlockDevice> FileSystem<D> {
     }
 
     fn dir_entries(&self, dir_ino: u32) -> FsResult<Vec<Dirent>> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
-        let mut entries = Vec::new();
-        let mut offset = 0;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if let Some(entry) = Dirent::decode(&raw) {
-                entries.push(entry);
-            }
-            offset += DIRENT_SIZE as u64;
-        }
-        Ok(entries)
+        let dir = InodeTable::new(&self.dev, &self.geo).read(dir_ino)?;
+        Ok(self
+            .dir_slots(&dir)?
+            .into_iter()
+            .filter_map(|(_, entry)| entry)
+            .collect())
     }
 
     /// Crate-internal: all live entries of a directory inode (used by the
@@ -528,11 +558,11 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn read(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let _g = self.lock.lock();
         let ino = self.resolve(p)?;
-        let mut node = InodeTable::new(&self.dev, &self.geo).read(ino)?;
+        let node = InodeTable::new(&self.dev, &self.geo).read(ino)?;
         if node.kind != InodeKind::File {
             return Err(FsError::IsADirectory(p.to_string()));
         }
-        self.read_at(&mut node, offset, len)
+        self.read_at(&node, offset, len)
     }
 
     /// Replaces the file's contents (creating it if missing) — the
@@ -577,48 +607,46 @@ impl<D: BlockDevice> FileSystem<D> {
         if node.kind != InodeKind::File {
             return Err(FsError::IsADirectory(p.to_string()));
         }
+        let mut freed = Vec::new();
         if size < node.size {
-            // Free whole blocks past the new end.
+            // Drop the pointers to whole blocks past the new end.
             let bs = self.geo.block_size as u64;
             let keep_blocks = size.div_ceil(bs);
-            let bitmap = Bitmap::new(&self.dev, &self.geo);
-            let pointers_per_block = bs / 4;
-            let total_blocks = DIRECT_POINTERS as u64 + pointers_per_block;
-            for logical in keep_blocks..DIRECT_POINTERS as u64 {
-                let slot = &mut node.direct[logical as usize];
+            let direct = DIRECT_POINTERS as u64;
+            for slot in node.direct.iter_mut().skip(keep_blocks as usize) {
                 if *slot != 0 {
-                    bitmap.free(*slot as u64)?;
+                    freed.push(*slot as u64);
                     *slot = 0;
                 }
             }
-            if node.indirect != 0 {
-                // One read and at most one write-back for the whole pointer
-                // table, not a round trip per freed entry.
-                let iblock = BlockIndex::new(node.indirect as u64);
-                let mut table = self.dev.read_block(iblock)?.as_slice().to_vec();
+            if let Some(mut table) = self.indirect_table(&node)? {
+                let keep_entries = keep_blocks.saturating_sub(direct) as usize;
                 let mut dirty = false;
-                for logical in keep_blocks.max(DIRECT_POINTERS as u64)..total_blocks {
-                    let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-                    let entry = (&table[idx..idx + 4]).get_u32_le();
-                    if entry != 0 {
-                        bitmap.free(entry as u64)?;
-                        (&mut table[idx..idx + 4]).put_u32_le(0);
+                for entry in table.chunks_exact_mut(4).skip(keep_entries) {
+                    let p = (&*entry).get_u32_le();
+                    if p != 0 {
+                        freed.push(p as u64);
+                        entry.fill(0);
                         dirty = true;
                     }
                 }
-                if keep_blocks <= DIRECT_POINTERS as u64 {
-                    // The whole table goes away; alloc() zeroes blocks on
-                    // reuse, so skipping the write-back is safe.
-                    bitmap.free(node.indirect as u64)?;
+                if keep_blocks <= direct {
+                    // The whole table goes away. Its stale pointers stay on
+                    // the device: a block is fully rewritten before anything
+                    // points at it again, so skipping the write-back is safe.
+                    freed.push(node.indirect as u64);
                     node.indirect = 0;
                 } else if dirty {
-                    self.dev.write_block(iblock, BlockData::from(table))?;
+                    self.dev.write_block(
+                        BlockIndex::new(node.indirect as u64),
+                        BlockData::from(table),
+                    )?;
                 }
             }
             // Zero the tail of the last kept block so re-extension reads
             // zeros, not stale bytes.
             if size % bs != 0 {
-                if let Some(block) = self.map_block(&mut node, size / bs, false)? {
+                if let Some(block) = self.map_blocks(&node, size / bs, 1)?[0] {
                     let mut raw = self
                         .dev
                         .read_block(BlockIndex::new(block))?
@@ -632,7 +660,8 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         node.size = size;
         inodes.write(ino, &node)?;
-        Ok(())
+        // Clear the bits only once no persisted pointer names the blocks.
+        Bitmap::new(&self.dev, &self.geo).free(&freed)
     }
 
     /// Removes a file, freeing its blocks and inode.
@@ -652,9 +681,8 @@ impl<D: BlockDevice> FileSystem<D> {
             return Err(FsError::IsADirectory(p.to_string()));
         }
         self.dir_remove(dir, name)?;
-        self.free_blocks_of(&node)?;
         inodes.free(ino)?;
-        Ok(())
+        self.free_blocks_of(&node)
     }
 
     /// Removes an empty directory.
@@ -679,9 +707,8 @@ impl<D: BlockDevice> FileSystem<D> {
             return Err(FsError::DirectoryNotEmpty(p.to_string()));
         }
         self.dir_remove(dir, name)?;
-        self.free_blocks_of(&node)?;
         inodes.free(ino)?;
-        Ok(())
+        self.free_blocks_of(&node)
     }
 
     /// Renames (moves) a file or directory. Refuses to move a directory
@@ -757,6 +784,7 @@ impl<D: BlockDevice> FileSystem<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::CountingDevice;
     use blockrep_storage::MemStore;
 
     fn fresh() -> FileSystem<MemStore> {
@@ -1002,5 +1030,111 @@ mod tests {
         };
         assert!(matches!(err, FsError::NoSpace), "got {err}");
         assert!(wrote > 0);
+    }
+
+    fn assert_clean<D: BlockDevice>(fs: &FileSystem<D>) {
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+    }
+
+    #[test]
+    fn write_out_of_space_leaks_nothing() {
+        let fs = FileSystem::format(MemStore::new(32, 512)).unwrap();
+        assert_eq!(fs.free_bytes().unwrap(), 28 * 512);
+        fs.create("/a").unwrap();
+        let before = fs.free_bytes().unwrap();
+        assert!(matches!(
+            fs.write("/a", 0, &[1; 64 * 512]),
+            Err(FsError::NoSpace)
+        ));
+        assert_eq!(fs.free_bytes().unwrap(), before, "no block claimed");
+        assert_eq!(fs.stat("/a").unwrap().size, 0);
+        assert_clean(&fs);
+        // Everything that was free is still usable.
+        fs.write("/a", 0, &[2; 20 * 512]).unwrap();
+        assert_eq!(fs.read_file("/a").unwrap(), vec![2; 20 * 512]);
+        assert_clean(&fs);
+    }
+
+    #[test]
+    fn format_lays_down_metadata_in_vectored_rounds() {
+        let fs = FileSystem::format(CountingDevice::new(MemStore::new(512, 512))).unwrap();
+        let c = fs.device().counts();
+        assert!(fs.geometry().data_start > 2);
+        // One write for the region, one for the bitmap, one for the root
+        // inode — not two per metadata block.
+        assert_eq!((c.write_batches, c.single_writes), (2, 1));
+        assert_clean(&fs);
+    }
+
+    #[test]
+    fn write_file_rounds_do_not_grow_with_file_size() {
+        let fs = FileSystem::format(CountingDevice::new(MemStore::new(512, 512))).unwrap();
+        fs.create("/warm").unwrap(); // the root's entry block exists
+        let rounds = |path: &str, blocks: usize| {
+            let before = fs.device().counts();
+            fs.write_file(path, &vec![7; blocks * 512]).unwrap();
+            let after = fs.device().counts();
+            (
+                after.single_writes - before.single_writes,
+                after.write_batches - before.write_batches,
+            )
+        };
+        // A new file: inode, directory inode and file inode single writes;
+        // directory entry, bitmap and data batches.
+        for blocks in [1, 12, 40] {
+            assert_eq!(rounds(&format!("/f{blocks}"), blocks), (3, 3), "{blocks}");
+        }
+        // An existing file: truncate's inode write and bitmap free, then
+        // the bitmap claim, the data and the inode.
+        for blocks in [1, 12, 40] {
+            assert_eq!(rounds(&format!("/f{blocks}"), blocks), (2, 3), "{blocks}");
+        }
+        assert_clean(&fs);
+    }
+
+    #[test]
+    fn reused_blocks_never_leak_stale_bytes() {
+        let fs = fresh();
+        fs.write_file("/f", &[0xFF; 40 * 512]).unwrap();
+        fs.truncate("/f", 0).unwrap();
+        // First fit hands the freed 0xFF blocks (and table) straight back,
+        // for data, a partial head block and a fresh indirect table alike.
+        fs.write("/f", 100, &[0x11; 20 * 512]).unwrap();
+        let data = fs.read_file("/f").unwrap();
+        assert_eq!(data.len(), 100 + 20 * 512);
+        assert!(data[..100].iter().all(|&b| b == 0));
+        assert!(data[100..].iter().all(|&b| b == 0x11));
+        assert_clean(&fs);
+    }
+
+    #[test]
+    fn fresh_indirect_table_holds_only_new_pointers() {
+        let fs = fresh();
+        fs.write_file("/a", &[0xFF; 40 * 512]).unwrap();
+        let inodes = InodeTable::new(&fs.dev, &fs.geo);
+        let ino_a = fs.resolve("/a").unwrap();
+        let old = fs.map_blocks(&inodes.read(ino_a).unwrap(), 0, 40).unwrap();
+        let old_table = inodes.read(ino_a).unwrap().indirect as u64;
+        // Shrink out of the indirect range: the table block is freed with
+        // its pointers still on the device.
+        fs.truncate("/a", 5 * 512).unwrap();
+        fs.write_file("/b", &[0x22; 20 * 512]).unwrap();
+        let b = inodes.read(fs.resolve("/b").unwrap()).unwrap();
+        let reused = b.indirect as u64;
+        assert!(
+            reused == old_table || old.contains(&Some(reused)),
+            "the new table reuses a freed block"
+        );
+        let table = fs.indirect_table(&b).unwrap().unwrap();
+        let pointers: Vec<u32> = table
+            .chunks_exact(4)
+            .map(|mut e| e.get_u32_le())
+            .filter(|&p| p != 0)
+            .collect();
+        assert_eq!(pointers.len(), 20 - DIRECT_POINTERS, "{pointers:?}");
+        assert!(table[(20 - DIRECT_POINTERS) * 4..].iter().all(|&b| b == 0));
+        assert_eq!(fs.read_file("/b").unwrap(), vec![0x22; 20 * 512]);
+        assert_clean(&fs);
     }
 }

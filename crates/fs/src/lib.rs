@@ -49,6 +49,8 @@ mod handle;
 mod inode;
 mod layout;
 mod path;
+#[cfg(test)]
+mod testutil;
 
 pub use check::{FsckProblem, FsckReport};
 pub use error::{FsError, FsResult};
