@@ -15,9 +15,7 @@
 //! the routing lands on the origin), so the same fleet drives every site
 //! server in parallel and the curve keeps climbing until all `n` servers
 //! saturate. The TCP runtime additionally exercises the multiplexed
-//! connections: the suite turns multiplexing on so concurrent clients share
-//! one windowed connection per site instead of serializing whole scatters
-//! behind a per-site connection mutex.
+//! connections: concurrent clients share one windowed connection per site.
 
 use crate::protocol_bench::JsonValue;
 use blockrep_core::{LiveCluster, TcpCluster};
@@ -349,9 +347,6 @@ pub fn run_case(
             let c = TcpCluster::spawn(cfg.device(), cfg.mode).expect("tcp spawn");
             c.set_link_latency(Duration::from_micros(cfg.link_latency_us));
             c.set_leases(leases);
-            // Concurrent clients share the per-site connections; the
-            // windowed multiplexer is what lets their requests overlap.
-            c.set_multiplexing(true).expect("multiplexing on");
             drive_load(cfg, &c, clients, dist)
         }
     };

@@ -215,7 +215,6 @@ pub fn capture(
             let c = TcpCluster::spawn(cfg.device(scheme), cfg.mode).expect("tcp spawn");
             c.set_fanout(FanoutMode::Parallel);
             c.set_link_latency(std::time::Duration::from_micros(cfg.link_latency_us));
-            c.set_wire_tracing(true);
             drive(cfg, io, |w| {
                 c.write_many(origin, w).expect("benchmark write");
             });

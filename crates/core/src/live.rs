@@ -3,9 +3,11 @@
 //! This is the deployment shape of the paper — "a set of server processes
 //! on several sites" — scaled to one machine: each site's replica is owned
 //! by its own OS thread, and every protocol exchange travels as a real
-//! message over the [`Network`] router. Fail-stop is modeled by taking the
-//! site's link down: a failed site answers nothing, synchronously, so tests
-//! stay deterministic.
+//! message over the [`Network`] router. The messages are the TCP runtime's
+//! [`WireRequest`]s, handed over unencoded, and each server thread answers
+//! them with the same [`Replica::handle`] dispatch the TCP servers run.
+//! Fail-stop is modeled by taking the site's link down: a failed site
+//! answers nothing, synchronously, so tests stay deterministic.
 //!
 //! The protocol logic is byte-for-byte the same code the deterministic
 //! [`Cluster`](crate::Cluster) runs — both implement
@@ -14,12 +16,14 @@
 //! replayed on both runtimes must produce identical message counts.
 
 use crate::backend::{
-    self, Backend, Gather, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
+    self, Backend, Gather, ScatterReplies, ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::protocol;
 use crate::replica::Replica;
+use crate::wire::{WireRequest, WireResponse};
 use blockrep_net::{DeliveryMode, FanoutMode, Network, TrafficCounter};
+use blockrep_obs::trace::TraceContext;
 use blockrep_storage::StorageFault;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
@@ -44,38 +48,16 @@ enum DrainJob {
     Sync(Sender<()>),
 }
 
-/// The messages a site's server process understands.
-enum Request {
-    Vote(BlockIndex, Sender<VersionNumber>),
-    Fetch(BlockIndex, Sender<(VersionNumber, BlockData)>),
-    /// A lease read served by a holder site: same payload as `Fetch`, but a
-    /// distinct message so fault injection can target lease validation
-    /// without touching quorum reads.
-    FetchLease(BlockIndex, Sender<(VersionNumber, BlockData)>),
-    ApplyWrite(BlockIndex, BlockData, VersionNumber),
-    ApplyWriteFaulty(BlockIndex, BlockData, VersionNumber, StorageFault),
-    Scrub(Sender<usize>),
-    ReadLocal(BlockIndex, Sender<BlockData>),
-    VersionVector(Sender<VersionVector>),
-    RepairPayload(VersionVector, Sender<(VersionVector, RepairBlocks)>),
-    ApplyRepair(RepairBlocks),
-    GetW(Sender<BTreeSet<SiteId>>),
-    SetW(BTreeSet<SiteId>),
-    AddW(SiteId),
-    VoteMany(Vec<BlockIndex>, Sender<Vec<VersionNumber>>),
-    ApplyWriteMany(WriteBatch),
-    ReadLocalMany(Vec<BlockIndex>, Sender<Vec<BlockData>>),
-    /// The in-process analogue of the wire trace envelope: carries the
-    /// sender's span context so the serving thread's apply span stitches
-    /// into the coordinator's causal tree. Only built while tracing is on.
-    Traced {
-        trace_id: u64,
-        parent: u64,
-        /// The target site (the server thread's own id, for span labels).
-        site: u32,
-        inner: Box<Request>,
-    },
-    Shutdown,
+/// One message to a site's server thread: a request of the shared wire
+/// vocabulary, unencoded, plus what the channel transport carries around it.
+struct Envelope {
+    request: WireRequest,
+    /// Where the answer goes when the sender blocks on one; `None` for a
+    /// one-way cast.
+    reply: Option<Sender<WireResponse>>,
+    /// The sender's span context, so the serving thread's apply span
+    /// stitches into the coordinator's causal tree. Only set while tracing.
+    trace: Option<TraceContext>,
 }
 
 /// A cluster of threaded server processes, one per site, exchanging
@@ -105,7 +87,7 @@ enum Request {
 /// ```
 pub struct LiveCluster {
     cfg: DeviceConfig,
-    net: Network<Request>,
+    net: Network<Envelope>,
     /// Authoritative site states, maintained by the coordination layer
     /// (a failed site's own thread cannot be asked).
     states: RwLock<Vec<SiteState>>,
@@ -128,9 +110,9 @@ pub struct LiveCluster {
     /// Hands straggler replies to the drainer; `None` only during drop.
     drain_tx: Option<Sender<DrainJob>>,
     drainer: Option<JoinHandle<()>>,
-    /// Direct lines to every server thread, bypassing link state — used only
-    /// for shutdown.
-    direct: Vec<Sender<Request>>,
+    /// Direct lines to every server thread, bypassing link state: dropping
+    /// them shuts the servers down.
+    stop: Vec<Sender<Envelope>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -138,37 +120,25 @@ impl LiveCluster {
     /// Spawns one server thread per site over a freshly formatted device.
     pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
         let n = cfg.num_sites();
-        let net: Network<Request> = Network::new(n, mode);
+        let net: Network<Envelope> = Network::new(n, mode);
         let latency_ns = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(n);
-        let mut direct = Vec::with_capacity(n);
+        let mut stop = Vec::with_capacity(n);
         for s in cfg.site_ids() {
             let rx = net.register(s);
-            // Keep a direct sender for shutdown: the network refuses to
+            // Keep a direct line for shutdown: the network refuses to
             // deliver to "failed" sites, but the thread still must exit.
-            let (tx, direct_rx) = crossbeam::channel::unbounded();
-            direct.push(tx);
-            let replica = Replica::new(s, &cfg);
+            // It never carries a message; its disconnect is the signal.
+            let (stop_tx, stop_rx) = crossbeam::channel::unbounded();
+            stop.push(stop_tx);
+            let mut replica = Replica::new(s, &cfg);
             let latency = Arc::clone(&latency_ns);
             handles.push(std::thread::spawn(move || {
-                // Serve from both queues: network traffic and control.
-                let mut replica = replica;
-                loop {
-                    crossbeam::channel::select! {
-                        recv(rx) -> msg => match msg {
-                            Ok(Request::Shutdown) | Err(_) => return,
-                            Ok(req) => {
-                                if is_rpc(&req) {
-                                    emulate_link(&latency);
-                                }
-                                handle(&mut replica, req);
-                            }
-                        },
-                        recv(direct_rx) -> msg => match msg {
-                            Ok(Request::Shutdown) | Err(_) => return,
-                            Ok(req) => handle(&mut replica, req),
-                        },
-                    }
+                while let Ok(msg) = crossbeam::channel::select! {
+                    recv(rx) -> msg => msg,
+                    recv(stop_rx) -> msg => msg,
+                } {
+                    serve(&mut replica, msg, &latency);
                 }
             }));
         }
@@ -200,7 +170,7 @@ impl LiveCluster {
             leases: LeaseTable::new(),
             drain_tx: Some(drain_tx),
             drainer: Some(drainer),
-            direct,
+            stop,
             handles,
             cfg,
         }
@@ -384,38 +354,37 @@ impl LiveCluster {
         self.net.set_site_up(s, up);
     }
 
-    /// Wraps `req` in the in-process trace envelope when tracing is on and
-    /// a span context is live, so the server thread (which does not share
-    /// this thread's context) can stitch its apply span into the tree.
-    fn trace_wrap(&self, to: SiteId, req: Request) -> Request {
-        if blockrep_obs::enabled() && crate::obs_hooks::tracing() {
-            if let Some(ctx) = blockrep_obs::trace::current() {
-                return Request::Traced {
-                    trace_id: ctx.trace_id,
-                    parent: ctx.span_id,
-                    site: to.as_u32(),
-                    inner: Box::new(req),
-                };
-            }
-        }
-        req
-    }
-
-    fn call<T>(
+    /// Hands `request` to `to`'s server thread; `false` if the network
+    /// refuses it (failed or partitioned-off target).
+    fn send(
         &self,
         from: SiteId,
         to: SiteId,
-        build: impl FnOnce(Sender<T>) -> Request,
-    ) -> Option<T> {
+        request: WireRequest,
+        reply: Option<Sender<WireResponse>>,
+        trace: Option<TraceContext>,
+    ) -> bool {
+        let msg = Envelope {
+            request,
+            reply,
+            trace,
+        };
+        self.net.send_raw(from, to, msg).is_ok()
+    }
+
+    /// A request/reply exchange: `None` if `to` does not answer.
+    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         let (tx, rx) = bounded(1);
-        let req = self.trace_wrap(to, build(tx));
-        self.net.send_raw(from, to, req).ok()?;
+        let trace = crate::obs_hooks::propagated();
+        if !self.send(from, to, request, Some(tx), trace) {
+            return None;
+        }
         rx.recv().ok()
     }
 
-    fn cast(&self, from: SiteId, to: SiteId, req: Request) -> bool {
-        let req = self.trace_wrap(to, req);
-        self.net.send_raw(from, to, req).is_ok()
+    /// A one-way cast: whether it was delivered.
+    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+        self.send(from, to, request, None, crate::obs_hooks::propagated())
     }
 
     /// Parallel scatter over request/reply exchanges: dispatches to every
@@ -423,13 +392,13 @@ impl LiveCluster {
     /// target order, so results and counts are byte-identical to the
     /// sequential loop while the blocking time drops from the *sum* of the
     /// round trips to the *slowest* one.
-    fn scatter_calls<T: Send + 'static>(
+    fn scatter_calls(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
-        build: impl Fn(Sender<T>) -> Request,
-        wrap: impl Fn(T) -> ScatterReply,
+        req: &ScatterRequest,
+        request: WireRequest,
     ) -> ScatterReplies {
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
@@ -445,7 +414,7 @@ impl LiveCluster {
         } else {
             None
         };
-        let pending: Vec<(SiteId, Option<Receiver<T>>)> = targets
+        let pending: Vec<(SiteId, Option<Receiver<WireResponse>>)> = targets
             .iter()
             .map(|&t| {
                 let send_span = if tracing {
@@ -457,18 +426,10 @@ impl LiveCluster {
                     None
                 };
                 let (tx, rx) = bounded(1);
-                let mut req = build(tx);
                 // The send span is the envelope parent, so the server's
                 // remote_apply span lands under this site's send leg.
-                if let Some(ctx) = send_span.as_ref().map(|s| s.context()) {
-                    req = Request::Traced {
-                        trace_id: ctx.trace_id,
-                        parent: ctx.span_id,
-                        site: t.as_u32(),
-                        inner: Box::new(req),
-                    };
-                }
-                let sent = self.net.send_raw(origin, t, req).is_ok();
+                let trace = send_span.as_ref().map(|s| s.context());
+                let sent = self.send(origin, t, request.clone(), Some(tx), trace);
                 (t, sent.then_some(rx))
             })
             .collect();
@@ -527,7 +488,7 @@ impl LiveCluster {
                 }
                 gathered += self.cfg.weight(t).as_u64();
             }
-            replies.push((t, reply.map(&wrap)));
+            replies.push((t, reply.and_then(|r| r.into_scatter_reply(req))));
         }
         if !stragglers.is_empty() {
             if let Some(tx) = &self.drain_tx {
@@ -538,27 +499,26 @@ impl LiveCluster {
     }
 }
 
-/// Whether a request carries a reply channel — i.e. it is a round trip the
-/// sender blocks on. Only these pay the emulated link delay: a one-way cast
-/// is in flight on a real network without occupying the server, so sleeping
-/// in the service thread for it would model a bottleneck that does not
-/// exist.
-fn is_rpc(req: &Request) -> bool {
-    match req {
-        Request::Traced { inner, .. } => is_rpc(inner),
-        _ => matches!(
-            req,
-            Request::Vote(..)
-                | Request::Fetch(..)
-                | Request::FetchLease(..)
-                | Request::Scrub(_)
-                | Request::ReadLocal(..)
-                | Request::VersionVector(_)
-                | Request::RepairPayload(..)
-                | Request::GetW(_)
-                | Request::VoteMany(..)
-                | Request::ReadLocalMany(..)
-        ),
+/// Serves one message on `replica`'s thread. Only a request the sender
+/// blocks on — one carrying a reply line — pays the emulated link delay: a
+/// one-way cast is in flight on a real network without occupying the
+/// server, so sleeping in the service thread for it would model a
+/// bottleneck that does not exist.
+fn serve(replica: &mut Replica, msg: Envelope, latency_ns: &AtomicU64) {
+    if msg.reply.is_some() {
+        emulate_link(latency_ns);
+    }
+    let _remote = msg.trace.map(|ctx| {
+        blockrep_obs::trace::start_remote(
+            ctx.trace_id,
+            ctx.span_id,
+            crate::obs_hooks::phase_remote_apply(),
+            replica.id().as_u32(),
+        )
+    });
+    let response = replica.handle(msg.request);
+    if let Some(reply) = msg.reply {
+        let _ = reply.send(response);
     }
 }
 
@@ -568,72 +528,6 @@ fn emulate_link(latency_ns: &AtomicU64) {
     let ns = latency_ns.load(Ordering::Relaxed);
     if ns > 0 {
         std::thread::sleep(Duration::from_nanos(ns));
-    }
-}
-
-fn handle(replica: &mut Replica, req: Request) {
-    match req {
-        Request::Vote(k, reply) => {
-            let _ = reply.send(replica.version(k));
-        }
-        Request::Fetch(k, reply) => {
-            let _ = reply.send(replica.versioned(k));
-        }
-        Request::FetchLease(k, reply) => {
-            let _ = reply.send(replica.versioned(k));
-        }
-        Request::ApplyWrite(k, data, v) => {
-            replica.install(k, data, v);
-        }
-        Request::ApplyWriteFaulty(k, data, v, fault) => {
-            replica.install_faulty(k, data, v, fault);
-        }
-        Request::Scrub(reply) => {
-            let _ = reply.send(replica.scrub().len());
-        }
-        Request::ReadLocal(k, reply) => {
-            let _ = reply.send(replica.data(k));
-        }
-        Request::VersionVector(reply) => {
-            let _ = reply.send(replica.version_vector());
-        }
-        Request::RepairPayload(vv, reply) => {
-            let _ = reply.send(replica.repair_payload(&vv));
-        }
-        Request::ApplyRepair(blocks) => {
-            replica.apply_repair(blocks);
-        }
-        Request::GetW(reply) => {
-            let _ = reply.send(replica.was_available().clone());
-        }
-        Request::SetW(w) => replica.set_was_available(w),
-        Request::AddW(s) => replica.add_was_available(s),
-        Request::VoteMany(ks, reply) => {
-            let _ = reply.send(ks.into_iter().map(|k| replica.version(k)).collect());
-        }
-        Request::ApplyWriteMany(writes) => {
-            for (k, v, data) in writes {
-                replica.install(k, data, v);
-            }
-        }
-        Request::ReadLocalMany(ks, reply) => {
-            let _ = reply.send(ks.into_iter().map(|k| replica.data(k)).collect());
-        }
-        Request::Traced {
-            trace_id,
-            parent,
-            site,
-            inner,
-        } => {
-            let _remote = blockrep_obs::trace::start_remote(
-                trace_id,
-                parent,
-                crate::obs_hooks::phase_remote_apply(),
-                site,
-            );
-            handle(replica, *inner);
-        }
-        Request::Shutdown => {}
     }
 }
 
@@ -667,11 +561,12 @@ impl Backend for LiveCluster {
     }
 
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        self.call(from, to, |tx| Request::Vote(k, tx))
+        self.call(from, to, WireRequest::Vote(k))?.into_version()
     }
 
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        self.call(from, to, |tx| Request::VoteMany(ks.to_vec(), tx))
+        self.call(from, to, WireRequest::VoteMany(ks.to_vec()))?
+            .into_versions(ks.len())
     }
 
     fn fetch_block(
@@ -680,7 +575,7 @@ impl Backend for LiveCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        self.call(from, to, |tx| Request::Fetch(k, tx))
+        self.call(from, to, WireRequest::Fetch(k))?.into_block()
     }
 
     fn fetch_lease(
@@ -689,7 +584,8 @@ impl Backend for LiveCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        self.call(from, to, |tx| Request::FetchLease(k, tx))
+        self.call(from, to, WireRequest::FetchLease(k))?
+            .into_block()
     }
 
     fn apply_write(
@@ -700,25 +596,28 @@ impl Backend for LiveCluster {
         data: &BlockData,
         v: VersionNumber,
     ) -> bool {
-        self.cast(from, to, Request::ApplyWrite(k, data.clone(), v))
+        self.cast(from, to, WireRequest::ApplyWrite(k, v, data.clone()))
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        self.cast(from, to, Request::ApplyWriteMany(writes.clone()))
+        self.cast(from, to, WireRequest::ApplyWriteMany(writes.clone()))
     }
 
     fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        self.call(s, s, |tx| Request::ReadLocal(k, tx))
+        self.call(s, s, WireRequest::ReadLocal(k))
+            .and_then(WireResponse::into_data)
             .expect("a site can always read its own disk")
     }
 
     fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
-        self.call(s, s, |tx| Request::ReadLocalMany(ks.to_vec(), tx))
+        self.call(s, s, WireRequest::ReadLocalMany(ks.to_vec()))
+            .and_then(|r| r.into_data_many(ks.len()))
             .expect("a site can always read its own disk")
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        self.call(from, to, Request::VersionVector)
+        self.call(from, to, WireRequest::VersionVector)?
+            .into_vector()
     }
 
     fn repair_payload(
@@ -727,12 +626,13 @@ impl Backend for LiveCluster {
         to: SiteId,
         vv: &VersionVector,
     ) -> Option<(VersionVector, RepairBlocks)> {
-        self.call(from, to, |tx| Request::RepairPayload(vv.clone(), tx))
+        self.call(from, to, WireRequest::RepairPayload(vv.clone()))?
+            .into_payload()
     }
 
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
         let n = blocks.len();
-        if self.cast(s, s, Request::ApplyRepair(blocks)) {
+        if self.cast(s, s, WireRequest::ApplyRepair(blocks)) {
             n
         } else {
             0
@@ -740,15 +640,15 @@ impl Backend for LiveCluster {
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        self.call(from, to, Request::GetW)
+        self.call(from, to, WireRequest::GetW)?.into_was_available()
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        self.cast(from, to, Request::SetW(w.clone()))
+        self.cast(from, to, WireRequest::SetW(w.clone()))
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        self.cast(from, to, Request::AddW(member))
+        self.cast(from, to, WireRequest::AddW(member))
     }
 
     fn apply_write_faulty(
@@ -760,16 +660,14 @@ impl Backend for LiveCluster {
         v: VersionNumber,
         fault: StorageFault,
     ) -> bool {
-        self.cast(
-            from,
-            to,
-            Request::ApplyWriteFaulty(k, data.clone(), v, fault),
-        )
+        let request = WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault);
+        self.cast(from, to, request)
     }
 
     fn scrub_local(&self, s: SiteId) -> usize {
-        self.call(s, s, Request::Scrub)
-            .expect("a site can always scrub its own disk")
+        self.call(s, s, WireRequest::Scrub)
+            .and_then(WireResponse::into_count)
+            .expect("a site can always scrub its own disk") as usize
     }
 
     fn early_quorum(&self) -> bool {
@@ -791,46 +689,17 @@ impl Backend for LiveCluster {
         targets: &[SiteId],
         req: &ScatterRequest,
     ) -> ScatterReplies {
-        if !self.parallel.load(Ordering::Relaxed) {
-            return backend::scatter_sequential(self, spec, origin, targets, req);
-        }
-        match req {
-            ScatterRequest::Vote(k) => {
-                let k = *k;
-                self.scatter_calls(
-                    spec,
-                    origin,
-                    targets,
-                    move |tx| Request::Vote(k, tx),
-                    ScatterReply::Version,
-                )
+        // Installs are one-way casts and probes are local state reads on
+        // this runtime: the sequential body already never blocks.
+        let blocking = matches!(
+            req,
+            ScatterRequest::Vote(_) | ScatterRequest::VoteMany(_) | ScatterRequest::VersionVector
+        );
+        match req.wire_request() {
+            Some(request) if blocking && self.parallel.load(Ordering::Relaxed) => {
+                self.scatter_calls(spec, origin, targets, req, request)
             }
-            ScatterRequest::VoteMany(ks) => {
-                let ks = ks.clone();
-                self.scatter_calls(
-                    spec,
-                    origin,
-                    targets,
-                    move |tx| Request::VoteMany(ks.clone(), tx),
-                    ScatterReply::Versions,
-                )
-            }
-            ScatterRequest::VersionVector => self.scatter_calls(
-                spec,
-                origin,
-                targets,
-                Request::VersionVector,
-                ScatterReply::Vector,
-            ),
-            // Installs are one-way casts and probes are local state reads on
-            // this runtime: the sequential body already never blocks.
-            ScatterRequest::Install { .. }
-            | ScatterRequest::InstallMany(_)
-            | ScatterRequest::InstallIfAvailable { .. }
-            | ScatterRequest::InstallIfAvailableMany(_)
-            | ScatterRequest::ProbeState => {
-                backend::scatter_sequential(self, spec, origin, targets, req)
-            }
+            _ => backend::scatter_sequential(self, spec, origin, targets, req),
         }
     }
 }
@@ -843,9 +712,8 @@ impl Drop for LiveCluster {
         if let Some(drainer) = self.drainer.take() {
             let _ = drainer.join();
         }
-        for tx in &self.direct {
-            let _ = tx.send(Request::Shutdown);
-        }
+        // Each server's select sees its stop line disconnect and exits.
+        self.stop.clear();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }

@@ -91,6 +91,16 @@ pub(crate) fn phase_span(phase: fn() -> u32, site: u32) -> Option<Span> {
     }
 }
 
+/// The span context a message carries to its destination site: the
+/// current one, when tracing is on and a span is open.
+pub(crate) fn propagated() -> Option<trace::TraceContext> {
+    if blockrep_obs::enabled() && trace::enabled() {
+        trace::current()
+    } else {
+        None
+    }
+}
+
 /// Starts a latency timer for `metric` when observability is enabled; the
 /// `None` guard on the disabled path is free.
 pub(crate) fn timer(metric: fn() -> &'static Histogram) -> Option<HistogramTimer<'static>> {

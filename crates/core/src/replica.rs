@@ -1,5 +1,6 @@
 //! Per-site replica state.
 
+use crate::wire::{WireRequest, WireResponse};
 use blockrep_storage::wal::{self, WalRecord};
 use blockrep_storage::{StorageFault, VersionedStore};
 use blockrep_types::{
@@ -236,6 +237,66 @@ impl Replica {
     /// Adds a site to `W_s` (a site "repaired from" this one).
     pub fn add_was_available(&mut self, s: SiteId) {
         self.was_available.insert(s);
+    }
+
+    /// Serves one protocol message: the site's whole request vocabulary in
+    /// one dispatch, shared by the live and TCP server processes.
+    /// [`WireRequest::Shutdown`] is the server loop's business; here it is
+    /// a bare acknowledgement like [`WireRequest::Probe`].
+    pub fn handle(&mut self, request: WireRequest) -> WireResponse {
+        match request {
+            WireRequest::Probe | WireRequest::Shutdown => WireResponse::Ack,
+            WireRequest::Vote(k) => WireResponse::Version(self.version(k)),
+            WireRequest::Fetch(k) | WireRequest::FetchLease(k) => {
+                let (v, data) = self.versioned(k);
+                WireResponse::Block(v, data)
+            }
+            WireRequest::ApplyWrite(k, v, data) => {
+                self.install(k, data, v);
+                WireResponse::Ack
+            }
+            WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
+                self.install_faulty(k, data, v, fault);
+                WireResponse::Ack
+            }
+            WireRequest::ReadLocal(k) => WireResponse::Data(self.data(k)),
+            WireRequest::VersionVector => WireResponse::Vector(self.version_vector()),
+            WireRequest::RepairPayload(vv) => {
+                let (vv, blocks) = self.repair_payload(&vv);
+                WireResponse::Payload(vv, blocks)
+            }
+            WireRequest::ApplyRepair(blocks) => {
+                self.apply_repair(blocks);
+                WireResponse::Ack
+            }
+            WireRequest::GetW => WireResponse::W(self.was_available.clone()),
+            WireRequest::SetW(w) => {
+                self.set_was_available(w);
+                WireResponse::Ack
+            }
+            WireRequest::AddW(s) => {
+                self.add_was_available(s);
+                WireResponse::Ack
+            }
+            WireRequest::Scrub => WireResponse::Count(self.scrub().len() as u64),
+            WireRequest::VoteMany(ks) => {
+                WireResponse::Versions(ks.into_iter().map(|k| self.version(k)).collect())
+            }
+            WireRequest::ApplyWriteMany(blocks) => {
+                for (k, v, data) in blocks {
+                    self.install(k, data, v);
+                }
+                WireResponse::Ack
+            }
+            WireRequest::ReadLocalMany(ks) => {
+                WireResponse::DataMany(ks.into_iter().map(|k| self.data(k)).collect())
+            }
+            // Transports strip their envelopes before dispatch; a bare
+            // envelope here is served as the request it carries.
+            WireRequest::Traced { inner, .. } | WireRequest::Mux { inner, .. } => {
+                self.handle(*inner)
+            }
+        }
     }
 }
 

@@ -546,10 +546,9 @@ impl ShardedDevice<crate::LiveCluster> {
 }
 
 impl ShardedDevice<crate::TcpCluster> {
-    /// Spawns the framed-TCP runtime per shard, with the windowed
-    /// connection multiplexer on: cross-shard fan-out issues sub-batches
-    /// from several threads at once, and without multiplexing they would
-    /// serialize behind each shard's per-site connection mutex.
+    /// Spawns the framed-TCP runtime per shard. Cross-shard fan-out issues
+    /// sub-batches from several threads at once; they share each shard's
+    /// multiplexed per-site connections.
     ///
     /// # Errors
     ///
@@ -561,7 +560,6 @@ impl ShardedDevice<crate::TcpCluster> {
             .map(|_| {
                 let cluster = crate::TcpCluster::spawn(spec.shard_config()?, mode)
                     .map_err(DeviceError::Io)?;
-                cluster.set_multiplexing(true).map_err(DeviceError::Io)?;
                 Ok(Arc::new(cluster))
             })
             .collect::<DeviceResult<Vec<_>>>()?;

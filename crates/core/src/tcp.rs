@@ -4,11 +4,19 @@
 //! a network. [`TcpCluster`] is that, minus the machine room: every site is
 //! an OS thread owning its replica behind a loopback `TcpListener`, and
 //! every protocol exchange is a length-prefixed [`wire`](crate::wire) frame
-//! over a real socket — serialization, framing and all. The protocol logic
-//! is still the one shared implementation (this type implements
-//! [`Backend`](crate::backend::Backend)), so the three runtimes —
-//! deterministic, channel-threaded, TCP — are interchangeable and must
-//! agree, which the integration tests check.
+//! over a real socket — serialization, framing and all. The server answers
+//! each frame with [`Replica::handle`], the dispatch the live runtime's
+//! server threads run too, and the protocol logic is the one shared
+//! implementation (this type implements [`Backend`](crate::backend::Backend)),
+//! so the three runtimes — deterministic, channel-threaded, TCP — are
+//! interchangeable and must agree, which the integration tests check.
+//!
+//! The coordinator holds one multiplexed connection per site: requests go
+//! out in [`WireRequest::Mux`] envelopes under per-connection ids, inside
+//! a [`WireRequest::Traced`] envelope while tracing, and a reader thread
+//! per connection routes the replies back by id. A connection that dies —
+//! a torn frame, a server hangup — is redialed on the next call to its
+//! site.
 //!
 //! Fail-stop is enforced at the coordination layer (a failed site is not
 //! contacted), keeping failure injection deterministic; the site's server
@@ -18,7 +26,7 @@
 //! partition experiments.
 
 use crate::backend::{
-    self, Backend, Gather, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
+    self, Backend, Gather, ScatterReplies, ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::replica::Replica;
@@ -26,12 +34,13 @@ use crate::wire::{self, WireRequest, WireResponse};
 use crate::{protocol, RepairBlocks};
 use blockrep_net::{DeliveryMode, FanoutMode, TrafficCounter};
 use blockrep_obs::event;
+use blockrep_obs::trace::TraceContext;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
     VersionVector,
 };
 use crossbeam::channel::{bounded, Receiver};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -40,26 +49,19 @@ use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// In-flight request budget per multiplexed connection (see
-/// [`TcpCluster::set_multiplexing`]).
+/// In-flight request budget per multiplexed connection.
 const MUX_WINDOW: usize = 32;
 
-fn serve(
-    mut replica: Replica,
-    listener: TcpListener,
-    latency_ns: Arc<AtomicU64>,
-    site: u32,
-    legacy: Arc<AtomicBool>,
-) {
+fn serve(mut replica: Replica, listener: TcpListener, latency_ns: Arc<AtomicU64>) {
     // Single-coordinator design: one connection drives the replica at a
     // time, but the coordinator may replace it — after a torn frame it
-    // drops the poisoned stream and reconnects — so connections are served
+    // shuts the dead stream down and redials — so connections are served
     // in sequence until a Shutdown frame arrives.
     while let Ok((mut conn, _)) = listener.accept() {
         // Request/response over one socket: Nagle + delayed ACK would add
         // ~40ms to every round trip.
         let _ = conn.set_nodelay(true);
-        if serve_conn(&mut replica, &mut conn, &latency_ns, site, &legacy) == Served::Shutdown {
+        if serve_conn(&mut replica, &mut conn, &latency_ns) == Served::Shutdown {
             return;
         }
     }
@@ -74,13 +76,7 @@ enum Served {
     Shutdown,
 }
 
-fn serve_conn(
-    replica: &mut Replica,
-    conn: &mut TcpStream,
-    latency_ns: &AtomicU64,
-    site: u32,
-    legacy: &AtomicBool,
-) -> Served {
+fn serve_conn(replica: &mut Replica, conn: &mut TcpStream, latency_ns: &AtomicU64) -> Served {
     loop {
         let Ok(frame) = wire::read_frame(conn) else {
             return Served::Hangup; // hung up (or reconnected elsewhere)
@@ -88,146 +84,44 @@ fn serve_conn(
         let Ok(request) = WireRequest::decode(&frame) else {
             return Served::Hangup; // corrupt peer: drop the connection
         };
-        // Unwrap the trace envelope, if any. A peer flagged `legacy`
-        // behaves exactly like a build that predates tag 17: the envelope
-        // is an unknown tag, i.e. a decode error, i.e. a hangup — which is
-        // what the coordinator's fallback path is built to survive.
+        // Unwrap the trace envelope, if any, then the multiplexing one,
+        // whose id is echoed on the reply so the coordinator's reader
+        // thread can route it. Decode rejects any other nesting.
         let (request, remote_ctx) = match request {
             WireRequest::Traced {
                 trace_id,
                 parent_span,
                 inner,
-            } => {
-                if legacy.load(Ordering::Relaxed) {
-                    return Served::Hangup;
-                }
-                (*inner, Some((trace_id, parent_span)))
-            }
+            } => (*inner, Some((trace_id, parent_span))),
             request => (request, None),
         };
-        // Unwrap the multiplexing envelope, if any; the id is echoed on the
-        // reply so the coordinator's demux thread can route it.
-        let (request, mux_id) = match request {
-            WireRequest::Mux { id, inner } => (*inner, Some(id)),
-            request => (request, None),
+        let WireRequest::Mux { id, inner: request } = request else {
+            return Served::Hangup; // not this transport's framing
         };
+        if matches!(*request, WireRequest::Shutdown) {
+            return Served::Shutdown;
+        }
         // Emulated one-way link delay (see `TcpCluster::set_link_latency`).
         // Deliberately outside the remote span: transit time is the
         // coordinator's gather wait, not this site's apply work.
         let delay = latency_ns.load(Ordering::Relaxed);
-        if delay > 0 && !matches!(request, WireRequest::Shutdown) {
+        if delay > 0 {
             std::thread::sleep(Duration::from_nanos(delay));
         }
-        let _remote = remote_ctx.map(|(trace_id, parent_span)| {
+        let remote = remote_ctx.map(|(trace_id, parent_span)| {
             blockrep_obs::trace::start_remote(
                 trace_id,
                 parent_span,
                 crate::obs_hooks::phase_remote_apply(),
-                site,
+                replica.id().as_u32(),
             )
         });
-        let response = match request {
-            WireRequest::Shutdown => return Served::Shutdown,
-            WireRequest::Probe => WireResponse::Ack,
-            WireRequest::Vote(k) => WireResponse::Version(replica.version(k)),
-            WireRequest::Fetch(k) => {
-                let (v, data) = replica.versioned(k);
-                WireResponse::Block(v, data)
-            }
-            WireRequest::FetchLease(k) => {
-                let (v, data) = replica.versioned(k);
-                WireResponse::Block(v, data)
-            }
-            WireRequest::ApplyWrite(k, v, data) => {
-                replica.install(k, data, v);
-                WireResponse::Ack
-            }
-            WireRequest::ReadLocal(k) => WireResponse::Data(replica.data(k)),
-            WireRequest::VersionVector => WireResponse::Vector(replica.version_vector()),
-            WireRequest::RepairPayload(vv) => {
-                let (vv, blocks) = replica.repair_payload(&vv);
-                WireResponse::Payload(vv, blocks)
-            }
-            WireRequest::ApplyRepair(blocks) => {
-                replica.apply_repair(blocks);
-                WireResponse::Ack
-            }
-            WireRequest::GetW => WireResponse::W(replica.was_available().clone()),
-            WireRequest::SetW(w) => {
-                replica.set_was_available(w);
-                WireResponse::Ack
-            }
-            WireRequest::AddW(s) => {
-                replica.add_was_available(s);
-                WireResponse::Ack
-            }
-            WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
-                replica.install_faulty(k, data, v, fault);
-                WireResponse::Ack
-            }
-            WireRequest::Scrub => WireResponse::Count(replica.scrub().len() as u64),
-            WireRequest::VoteMany(ks) => {
-                WireResponse::Versions(ks.into_iter().map(|k| replica.version(k)).collect())
-            }
-            WireRequest::ApplyWriteMany(blocks) => {
-                for (k, v, data) in blocks {
-                    replica.install(k, data, v);
-                }
-                WireResponse::Ack
-            }
-            WireRequest::ReadLocalMany(ks) => {
-                WireResponse::DataMany(ks.into_iter().map(|k| replica.data(k)).collect())
-            }
-            // Decode rejects nested envelopes and the outer ones were
-            // already unwrapped above, so these arms are unreachable by
-            // construction.
-            WireRequest::Traced { .. } | WireRequest::Mux { .. } => return Served::Hangup,
-        };
-        let response = match mux_id {
-            Some(id) => WireResponse::Mux {
-                id,
-                inner: Box::new(response),
-            },
-            None => response,
-        };
+        let inner = Box::new(replica.handle(*request));
+        drop(remote);
+        let response = WireResponse::Mux { id, inner };
         if wire::write_frame(conn, &response.encode()).is_err() {
             return Served::Hangup;
         }
-    }
-}
-
-/// A coordinator-side connection to one site's server. A torn frame (I/O or
-/// decode error mid-exchange) leaves the stream unsynchronized, so the
-/// connection is *poisoned*: the failed exchange reports "no reply" once,
-/// and the next checkout replaces the stream with a fresh connection
-/// instead of silently desyncing every later RPC (the server accepts the
-/// replacement as soon as the old stream drops).
-struct SiteConn {
-    stream: TcpStream,
-    poisoned: bool,
-    /// Whether this peer accepts the trace envelope. Starts optimistic;
-    /// cleared the first time a traced frame makes the peer hang up, after
-    /// which every frame to it goes bare (one flag flip, no negotiation).
-    trace_ok: bool,
-}
-
-impl SiteConn {
-    /// Marks the connection unusable and logs the event.
-    fn poison(&mut self, to: SiteId) {
-        self.poisoned = true;
-        event!("tcp.conn.poisoned", site = to.as_u32());
-    }
-
-    /// One request/response exchange. Any failure poisons the connection.
-    fn exchange(&mut self, to: SiteId, request: &WireRequest) -> Option<WireResponse> {
-        let response = wire::write_frame(&mut self.stream, &request.encode())
-            .ok()
-            .and_then(|()| wire::read_frame(&mut self.stream).ok())
-            .and_then(|frame| WireResponse::decode(&frame).ok());
-        if response.is_none() {
-            self.poison(to);
-        }
-        response
     }
 }
 
@@ -249,11 +143,46 @@ struct MuxConn {
     /// Counting semaphore bounding in-flight requests on this connection:
     /// remaining slots plus the condvar submitters wait on.
     window: (Mutex<usize>, Condvar),
-    /// Set by the reader thread when the stream dies; submissions fail fast.
+    /// Set when the stream dies; submissions fail fast and the next call
+    /// to the site redials.
     dead: AtomicBool,
+    /// The reader thread, joined when the connection is closed.
+    reader: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl MuxConn {
+    /// Connects to `addr` and starts the connection's reader thread.
+    fn dial(addr: SocketAddr) -> io::Result<Arc<MuxConn>> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let read_half = stream.try_clone()?;
+        let conn = Arc::new(MuxConn {
+            writer: Mutex::new((stream, 0)),
+            pending: Mutex::new(HashMap::new()),
+            window: (Mutex::new(MUX_WINDOW), Condvar::new()),
+            dead: AtomicBool::new(false),
+            reader: Mutex::new(None),
+        });
+        let reader_conn = Arc::clone(&conn);
+        let reader = std::thread::spawn(move || mux_reader(read_half, &reader_conn));
+        *conn.reader.lock() = Some(reader);
+        Ok(conn)
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Relaxed)
+    }
+
+    /// Kills the connection: shuts the stream down, so the server's read
+    /// loop falls back to `accept`, and joins the reader thread.
+    fn close(&self) {
+        self.dead.store(true, Ordering::Relaxed);
+        let _ = self.writer.lock().0.shutdown(std::net::Shutdown::Both);
+        if let Some(reader) = self.reader.lock().take() {
+            let _ = reader.join();
+        }
+    }
+
     /// Claims one window slot, blocking while the window is full.
     fn acquire_slot(&self) {
         let (slots, cvar) = &self.window;
@@ -271,12 +200,17 @@ impl MuxConn {
         cvar.notify_one();
     }
 
-    /// Sends `request` under a fresh id and returns the channel its reply
-    /// will arrive on. The caller owns a window slot until it calls
+    /// Sends `request` under a fresh id — inside the trace envelope when
+    /// `trace` is set — and returns the channel its reply will arrive on.
+    /// The caller owns a window slot until it calls
     /// [`release_slot`](Self::release_slot) (after receiving). `None` means
     /// the connection is dead — the site is unreachable to this frame.
-    fn submit(&self, request: WireRequest) -> Option<Receiver<Option<WireResponse>>> {
-        if self.dead.load(Ordering::Relaxed) {
+    fn submit(
+        &self,
+        request: WireRequest,
+        trace: Option<TraceContext>,
+    ) -> Option<Receiver<Option<WireResponse>>> {
+        if self.is_dead() {
             return None;
         }
         self.acquire_slot();
@@ -289,16 +223,22 @@ impl MuxConn {
             // Park the reply slot before the frame hits the wire so the
             // reader can never see a reply to an unknown id.
             self.pending.lock().insert(id, tx);
-            let frame = WireRequest::Mux {
+            let mut frame = WireRequest::Mux {
                 id,
                 inner: Box::new(request),
+            };
+            if let Some(ctx) = trace {
+                frame = WireRequest::Traced {
+                    trace_id: ctx.trace_id,
+                    parent_span: ctx.span_id,
+                    inner: Box::new(frame),
+                };
             }
-            .encode();
-            let ok = wire::write_frame(stream, &frame).is_ok()
+            let ok = wire::write_frame(stream, &frame.encode()).is_ok()
                 // The reader may have died and drained `pending` before the
                 // insert above; in that window the request would never be
                 // answered, so check the flag after parking the slot.
-                && !self.dead.load(Ordering::Relaxed);
+                && !self.is_dead();
             if !ok {
                 self.dead.store(true, Ordering::Relaxed);
                 self.pending.lock().remove(&id);
@@ -316,7 +256,8 @@ impl MuxConn {
 /// The demux loop: reads [`WireResponse::Mux`] frames off the socket and
 /// routes each inner reply to the submitter that parked its id. Any I/O or
 /// framing error kills the connection: every in-flight submitter is handed
-/// "no reply", which the protocol treats exactly like an unreachable site.
+/// "no reply", which the protocol treats exactly like an unreachable site,
+/// and the next call to the site redials.
 fn mux_reader(mut stream: TcpStream, conn: &MuxConn) {
     while let Ok(frame) = wire::read_frame(&mut stream) {
         let Ok(WireResponse::Mux { id, inner }) = WireResponse::decode(&frame) else {
@@ -359,28 +300,16 @@ pub struct TcpCluster {
     counter: TrafficCounter,
     mode: DeliveryMode,
     addrs: Vec<SocketAddr>,
-    conns: Vec<Mutex<SiteConn>>,
-    /// Whether scatters pipeline their frames (write all requests, then
-    /// read all replies) instead of one blocking RPC per target.
+    /// Per-site multiplexed connections; a dead one is replaced on the
+    /// next call to its site.
+    conns: Vec<RwLock<Arc<MuxConn>>>,
+    /// Whether scatters pipeline their requests (submit to every target,
+    /// then gather) instead of one blocking RPC per target.
     parallel: AtomicBool,
     /// Whether vote collection stops building on replies past quorum weight.
     early_quorum: AtomicBool,
     /// Emulated one-way link delay in nanoseconds, shared with the servers.
     latency_ns: Arc<AtomicU64>,
-    /// Whether request frames carry the trace envelope when a span context
-    /// is live. Off by default — the untraced-peer mode the parity tests
-    /// pin — so frames stay byte-identical unless explicitly opted in.
-    wire_tracing: AtomicBool,
-    /// Per-site "pretend this server predates the trace envelope" flags,
-    /// shared with the server threads (mixed-version testing).
-    legacy: Vec<Arc<AtomicBool>>,
-    /// Per-site multiplexed connections, populated by
-    /// [`set_multiplexing`](Self::set_multiplexing).
-    mux: Vec<RwLock<Option<Arc<MuxConn>>>>,
-    /// Fast path for "is any mux connection live" checks.
-    muxed: AtomicBool,
-    /// Demux reader threads, joined on drop / un-multiplexing.
-    mux_readers: Mutex<Vec<JoinHandle<()>>>,
     /// Per-block lock shards serializing same-block coordinations.
     locks: BlockLockTable,
     /// Read-lease registry for the offload fast path.
@@ -390,7 +319,7 @@ pub struct TcpCluster {
 
 impl TcpCluster {
     /// Binds one loopback listener per site, spawns the server threads, and
-    /// connects the coordinator to each.
+    /// dials one multiplexed connection to each.
     ///
     /// # Errors
     ///
@@ -400,29 +329,19 @@ impl TcpCluster {
         let latency_ns = Arc::new(AtomicU64::new(0));
         let mut addrs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        let legacy: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
         for s in cfg.site_ids() {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
             let replica = Replica::new(s, &cfg);
             let latency = Arc::clone(&latency_ns);
-            let legacy_flag = Arc::clone(&legacy[s.index()]);
-            let site = s.as_u32();
             handles.push(std::thread::spawn(move || {
-                serve(replica, listener, latency, site, legacy_flag)
+                serve(replica, listener, latency)
             }));
         }
-        let mut conns = Vec::with_capacity(n);
-        for addr in &addrs {
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            conns.push(Mutex::new(SiteConn {
-                stream,
-                poisoned: false,
-                trace_ok: true,
-            }));
-        }
+        let conns = addrs
+            .iter()
+            .map(|&addr| MuxConn::dial(addr).map(RwLock::new))
+            .collect::<io::Result<_>>()?;
         Ok(TcpCluster {
             states: RwLock::new(vec![SiteState::Available; n]),
             counter: TrafficCounter::new(),
@@ -432,18 +351,12 @@ impl TcpCluster {
             parallel: AtomicBool::new(true),
             early_quorum: AtomicBool::new(false),
             latency_ns,
-            wire_tracing: AtomicBool::new(false),
-            legacy,
-            mux: (0..n).map(|_| RwLock::new(None)).collect(),
-            muxed: AtomicBool::new(false),
-            mux_readers: Mutex::new(Vec::new()),
             locks: BlockLockTable::new(),
             leases: LeaseTable::new(),
             handles,
             cfg,
         })
     }
-
     /// The socket address of site `s`'s server.
     pub fn addr(&self, s: SiteId) -> SocketAddr {
         self.addrs[s.index()]
@@ -534,8 +447,8 @@ impl TcpCluster {
     }
 
     /// Selects the fan-out mode for scatter exchanges. The default is
-    /// [`FanoutMode::Parallel`] (request frames for the whole batch are
-    /// pipelined: all written, then all replies read — one round trip
+    /// [`FanoutMode::Parallel`] (requests for the whole batch are
+    /// pipelined: all submitted, then all replies gathered — one round trip
     /// instead of one per target); [`FanoutMode::Sequential`] restores the
     /// historical blocking per-target loop. The §5 message counts are
     /// identical either way.
@@ -574,89 +487,25 @@ impl TcpCluster {
         );
     }
 
-    /// Enables or disables the wire trace envelope. Off (the default) is
-    /// "untraced-peer mode": frames are byte-identical to an untraced
-    /// build, which is what the runtime-parity suites pin. On, every
-    /// request sent while a span context is live is wrapped in
-    /// [`WireRequest::Traced`] so the servers emit child spans into the
-    /// same causal tree.
-    pub fn set_wire_tracing(&self, on: bool) {
-        self.wire_tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// Switches the coordinator between one-exchange-at-a-time connections
-    /// and multiplexed ones. On, each site's connection is replaced by a
-    /// [`MuxConn`]: requests carry per-connection ids under a bounded
-    /// in-flight window ([`MUX_WINDOW`]) and a dedicated reader thread
-    /// demultiplexes replies, so concurrent clients of one `TcpCluster`
-    /// share each socket instead of serializing on it. Off restores the
-    /// classic connections (the next RPC per site redials).
-    ///
-    /// Deadlock-freedom: a scatter submits to targets in ascending site
-    /// order, so a client blocked on site `j`'s window only holds slots on
-    /// sites `< j` — the wait graph is acyclic, and every held slot is
-    /// released once the server (which always replies in order) answers.
+    /// Asks for multiplexed connections, which are the only kind: requests
+    /// carry per-connection ids under a bounded in-flight window
+    /// ([`MUX_WINDOW`]) and a reader thread demultiplexes replies, so
+    /// concurrent clients of one `TcpCluster` share each socket. `true` is
+    /// a no-op, accepted so callers that opt in keep working.
     ///
     /// # Errors
     ///
-    /// I/O errors from dialing the replacement connections; sites already
-    /// multiplexed keep their connection.
+    /// [`io::ErrorKind::Unsupported`] for `false`: there is no other
+    /// transport to switch to.
     pub fn set_multiplexing(&self, on: bool) -> io::Result<()> {
         if on {
-            // Installation walks sites in ascending order — the same
-            // discipline every scatter follows — so a concurrent caller
-            // taking the same slot locks cannot deadlock against us.
-            let mut installed: Vec<usize> = Vec::new();
-            for (i, slot) in self.mux.iter().enumerate() {
-                debug_assert!(installed.last().is_none_or(|&prev| prev < i));
-                installed.push(i);
-                let mut slot = slot.write();
-                if slot.is_some() {
-                    continue;
-                }
-                // Retire the classic connection: hang it up so the server's
-                // read loop falls back to `accept`, and poison it so a later
-                // un-multiplexed checkout redials instead of reusing the
-                // dead stream.
-                {
-                    let mut conn = self.conns[i].lock();
-                    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                    conn.poisoned = true;
-                }
-                let stream = TcpStream::connect(self.addrs[i])?;
-                stream.set_nodelay(true)?;
-                let read_half = stream.try_clone()?;
-                let conn = Arc::new(MuxConn {
-                    writer: Mutex::new((stream, 0)),
-                    pending: Mutex::new(HashMap::new()),
-                    window: (Mutex::new(MUX_WINDOW), Condvar::new()),
-                    dead: AtomicBool::new(false),
-                });
-                let reader_conn = Arc::clone(&conn);
-                self.mux_readers.lock().push(std::thread::spawn(move || {
-                    mux_reader(read_half, &reader_conn)
-                }));
-                *slot = Some(conn);
-            }
-            self.muxed.store(true, Ordering::Relaxed);
+            Ok(())
         } else {
-            self.muxed.store(false, Ordering::Relaxed);
-            for slot in &self.mux {
-                if let Some(conn) = slot.write().take() {
-                    conn.dead.store(true, Ordering::Relaxed);
-                    let _ = conn.writer.lock().0.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            for handle in self.mux_readers.lock().drain(..) {
-                let _ = handle.join();
-            }
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "multiplexed connections are the only TCP transport",
+            ))
         }
-        Ok(())
-    }
-
-    /// Whether the coordinator's connections are currently multiplexed.
-    pub fn multiplexing(&self) -> bool {
-        self.muxed.load(Ordering::Relaxed)
     }
 
     /// Enables or disables coordinator-granted read leases (see
@@ -665,88 +514,40 @@ impl TcpCluster {
         self.leases.set_enabled(on);
     }
 
-    /// Makes site `s`'s server behave like a build that predates the trace
-    /// envelope: any [`WireRequest::Traced`] frame is treated as a decode
-    /// error (hangup). Also resets the coordinator's cached `trace_ok`
-    /// verdict for that site so a test can flip the flag both ways.
-    pub fn set_untraced_peer(&self, s: SiteId, untraced: bool) {
-        self.legacy[s.index()].store(untraced, Ordering::Relaxed);
-        self.conns[s.index()].lock().trace_ok = true;
-    }
-
-    /// Wraps `request` in the trace envelope when wire tracing is on, the
-    /// peer is not known to reject it, and a span context is live.
-    fn trace_wrap(&self, conn: &SiteConn, request: WireRequest) -> (WireRequest, bool) {
-        if self.wire_tracing.load(Ordering::Relaxed)
-            && conn.trace_ok
-            && blockrep_obs::enabled()
-            && crate::obs_hooks::tracing()
+    /// Site `to`'s connection, redialed first if it died. The first caller
+    /// to find it dead closes it — so the server's `accept` loop takes the
+    /// new stream — and dials. `None` if the dial fails; the next call
+    /// retries.
+    fn conn(&self, to: SiteId) -> Option<Arc<MuxConn>> {
         {
-            if let Some(ctx) = blockrep_obs::trace::current() {
-                return (
-                    WireRequest::Traced {
-                        trace_id: ctx.trace_id,
-                        parent_span: ctx.span_id,
-                        inner: Box::new(request),
-                    },
-                    true,
-                );
+            let conn = self.conns[to.index()].read();
+            if !conn.is_dead() {
+                return Some(Arc::clone(&conn));
             }
         }
-        (request, false)
-    }
-
-    /// Locks site `to`'s connection, replacing the stream first if a torn
-    /// frame poisoned it. Dropping the old stream hangs up the server's
-    /// read loop, which then accepts this replacement.
-    fn checkout(&self, to: SiteId) -> Option<MutexGuard<'_, SiteConn>> {
-        let mut conn = self.conns[to.index()].lock();
-        if conn.poisoned {
-            let stream = TcpStream::connect(self.addrs[to.index()]).ok()?;
-            let _ = stream.set_nodelay(true);
-            conn.stream = stream;
-            conn.poisoned = false;
+        let mut slot = self.conns[to.index()].write();
+        if slot.is_dead() {
+            slot.close();
+            *slot = MuxConn::dial(self.addrs[to.index()]).ok()?;
             event!("tcp.conn.reopened", site = to.as_u32());
         }
-        Some(conn)
+        Some(Arc::clone(&slot))
     }
 
-    /// One request/response exchange over a multiplexed connection: submit
+    /// One request/response exchange with `to` on `from`'s behalf: submit
     /// under a fresh id, block on the demuxed reply, return the window
-    /// slot. `None` is "site unreachable", exactly as for a torn classic
-    /// exchange.
-    fn mux_rpc(&self, conn: &MuxConn, request: WireRequest) -> Option<WireResponse> {
-        let rx = conn.submit(request)?;
+    /// slot. `None` is "site unreachable": `to` is failed or cut off from
+    /// `from`, or the connection died mid-exchange.
+    fn rpc(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+        if !self.reachable(from, to) {
+            return None;
+        }
+        let _timer = crate::obs_hooks::timer(crate::obs_hooks::tcp_rpc_latency);
+        let conn = self.conn(to)?;
+        let rx = conn.submit(request, crate::obs_hooks::propagated())?;
         let reply = rx.recv().ok().flatten();
         conn.release_slot();
         reply
-    }
-
-    fn rpc(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
-        let _timer = crate::obs_hooks::timer(crate::obs_hooks::tcp_rpc_latency);
-        if self.muxed.load(Ordering::Relaxed) {
-            // Wire tracing is a classic-connection feature; mux frames go
-            // bare (the parity suites pin untraced mode anyway).
-            if let Some(conn) = self.mux[to.index()].read().clone() {
-                return self.mux_rpc(&conn, request);
-            }
-        }
-        let mut conn = self.checkout(to)?;
-        let (framed, traced) = self.trace_wrap(&conn, request.clone());
-        if let Some(response) = conn.exchange(to, &framed) {
-            return Some(response);
-        }
-        if !traced {
-            return None;
-        }
-        // The traced attempt died — most likely an untraced peer hanging up
-        // on the unknown tag. Remember that and retry once bare; every
-        // request sent through here is idempotent, so the replay is safe
-        // even if the first frame was actually served.
-        conn.trace_ok = false;
-        drop(conn);
-        event!("tcp.trace.fallback", site = to.as_u32());
-        self.checkout(to)?.exchange(to, &request)
     }
 
     /// Whether the coordinator will contact `to` on behalf of `from`.
@@ -755,88 +556,72 @@ impl TcpCluster {
         from == to || (states[from.index()].is_operational() && states[to.index()].is_operational())
     }
 
-    /// Pipelined scatter: writes one request frame per reachable target —
-    /// every request is on the wire before any reply is read — then gathers
-    /// the replies in target order. Connections are locked in ascending
-    /// site order, so concurrent scatters cannot deadlock. Early-quorum
-    /// stragglers are drained synchronously here (a reply left on a socket
-    /// would desync the next RPC) and truncated after the fact; the batch
-    /// already costs a single round trip, so there is nobody to unblock.
+    /// Pipelined scatter: submits `request` to every reachable target —
+    /// claiming window slots in ascending site order, so a scatter blocked
+    /// on site `j`'s full window holds slots only on sites `< j` and
+    /// concurrent scatters cannot form a wait cycle — then gathers the
+    /// demuxed replies in target order. Every held slot is released once
+    /// its server, which always replies in order, answers. Early-quorum
+    /// stragglers are still received (and charged) here and truncated
+    /// after the fact; the batch already costs a single round trip, so
+    /// there is nobody to unblock. §5 message counts are identical to the
+    /// sequential fan-out.
     fn pipelined(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
-        request_for: impl Fn(SiteId) -> Option<WireRequest>,
-        parse: impl Fn(WireResponse) -> Option<ScatterReply>,
+        req: &ScatterRequest,
+        request: WireRequest,
     ) -> ScatterReplies {
-        if self.muxed.load(Ordering::Relaxed) {
-            return self.pipelined_mux(spec, origin, targets, &request_for, &parse);
-        }
-        // Satellite hoist: one `enabled()` load decides whether any obs
-        // work happens in this batch; the disabled path records nothing.
+        // One `enabled()` load decides whether any obs work happens in this
+        // batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
         if obs_on {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
         let tracing = obs_on && crate::obs_hooks::tracing();
-        // Per in-flight entry: the locked connection plus the bare request
-        // kept around iff the frame went out traced (fallback replay).
-        type InFlight<'a> = Option<(MutexGuard<'a, SiteConn>, Option<WireRequest>)>;
-        let mut in_flight: Vec<(SiteId, InFlight<'_>)> = Vec::with_capacity(targets.len());
+        let probe = matches!(
+            req,
+            ScatterRequest::InstallIfAvailable { .. } | ScatterRequest::InstallIfAvailableMany(_)
+        );
+        type Slot = Option<(Arc<MuxConn>, Receiver<Option<WireResponse>>)>;
+        let mut in_flight: Vec<(SiteId, Slot)> = Vec::with_capacity(targets.len());
         for &t in targets {
             debug_assert!(
-                in_flight.last().is_none_or(|&(prev, _)| prev < t),
-                "scatter targets must ascend (lock ordering)"
+                in_flight.last().is_none_or(|(prev, _)| *prev < t),
+                "scatter targets must ascend (window-slot order)"
             );
-            let conn = if self.reachable(origin, t) {
-                request_for(t).and_then(|request| {
-                    let send_span = if tracing {
-                        blockrep_obs::trace::start_phase(
-                            crate::obs_hooks::phase_scatter_send(),
-                            t.as_u32(),
-                        )
-                    } else {
-                        None
-                    };
-                    let mut conn = self.checkout(t)?;
-                    // The send span is the wire parent, so the server's
-                    // remote_apply span lands under this site's send leg
-                    // (a grandchild of the op — attribution sums direct
-                    // children only and must not double-count it).
-                    let (framed, traced) = match send_span.as_ref().map(|s| s.context()) {
-                        Some(ctx) if self.wire_tracing.load(Ordering::Relaxed) && conn.trace_ok => {
-                            (
-                                WireRequest::Traced {
-                                    trace_id: ctx.trace_id,
-                                    parent_span: ctx.span_id,
-                                    inner: Box::new(request.clone()),
-                                },
-                                true,
-                            )
-                        }
-                        _ => (request.clone(), false),
-                    };
-                    if wire::write_frame(&mut conn.stream, &framed.encode()).is_ok() {
-                        Some((conn, traced.then_some(request)))
-                    } else {
-                        conn.poison(t);
-                        None
-                    }
+            // The availability probe is a coordination-layer state read (no
+            // socket traffic), exactly as in the sequential body.
+            let send = self.reachable(origin, t)
+                && (!probe || self.probe_state(origin, t) == Some(SiteState::Available));
+            let slot = if send {
+                let send_span = if tracing {
+                    blockrep_obs::trace::start_phase(
+                        crate::obs_hooks::phase_scatter_send(),
+                        t.as_u32(),
+                    )
+                } else {
+                    None
+                };
+                // The send span is the wire parent, so the server's
+                // remote_apply span lands under this site's send leg (a
+                // grandchild of the op — attribution sums direct children
+                // only and must not double-count it).
+                let trace = send_span.as_ref().map(|s| s.context());
+                self.conn(t).and_then(|conn| {
+                    let rx = conn.submit(request.clone(), trace)?;
+                    Some((conn, rx))
                 })
             } else {
                 None
             };
-            in_flight.push((t, conn));
+            in_flight.push((t, slot));
         }
-        // Gather in target order. A traced frame that dies here is retried
-        // bare *after* the loop (all guards released first — re-locking a
-        // lower site while holding higher ones would break the ascending
-        // lock order that makes concurrent scatters deadlock-free).
         let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
-        let mut retries: Vec<(usize, SiteId, WireRequest)> = Vec::new();
-        for (i, (t, conn)) in in_flight.into_iter().enumerate() {
-            let reply = conn.and_then(|(mut conn, bare)| {
+        for (t, slot) in in_flight {
+            let reply = slot.and_then(|(conn, rx)| {
                 let gather_span = if tracing {
                     blockrep_obs::trace::start_phase(
                         crate::obs_hooks::phase_gather_wait(),
@@ -845,27 +630,12 @@ impl TcpCluster {
                 } else {
                     None
                 };
-                let response = wire::read_frame(&mut conn.stream)
-                    .ok()
-                    .and_then(|frame| WireResponse::decode(&frame).ok());
+                let response = rx.recv().ok().flatten();
                 drop(gather_span);
-                if response.is_none() {
-                    conn.poison(t);
-                    if let Some(bare) = bare {
-                        conn.trace_ok = false;
-                        retries.push((i, t, bare));
-                    }
-                }
-                response.and_then(&parse)
+                conn.release_slot();
+                response.and_then(|r| r.into_scatter_reply(req))
             });
             replies.push((t, reply));
-        }
-        for (i, t, bare) in retries {
-            event!("tcp.trace.fallback", site = t.as_u32());
-            replies[i].1 = self
-                .checkout(t)
-                .and_then(|mut conn| conn.exchange(t, &bare))
-                .and_then(&parse);
         }
         if let Some(kind) = spec.reply_charge {
             let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
@@ -881,59 +651,6 @@ impl TcpCluster {
                 origin.as_u32(),
             );
         }
-        replies
-    }
-
-    /// Multiplexed scatter: submits one [`WireRequest::Mux`] frame per
-    /// reachable target — acquiring window slots in ascending site order,
-    /// the same discipline as [`pipelined`](Self::pipelined)'s connection
-    /// locks, so concurrent scatters cannot form a wait cycle — then
-    /// gathers the demuxed replies in target order. §5 message counts are
-    /// identical to the other fan-out modes.
-    fn pipelined_mux(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        request_for: &dyn Fn(SiteId) -> Option<WireRequest>,
-        parse: &dyn Fn(WireResponse) -> Option<ScatterReply>,
-    ) -> ScatterReplies {
-        if blockrep_obs::enabled() {
-            crate::obs_hooks::scatter_batch().record(targets.len() as u64);
-        }
-        type Slot = Option<(Arc<MuxConn>, Receiver<Option<WireResponse>>)>;
-        let mut in_flight: Vec<(SiteId, Slot)> = Vec::with_capacity(targets.len());
-        for &t in targets {
-            debug_assert!(
-                in_flight.last().is_none_or(|(prev, _)| *prev < t),
-                "scatter targets must ascend (lock ordering)"
-            );
-            let slot = if self.reachable(origin, t) {
-                request_for(t).and_then(|request| {
-                    let conn = self.mux[t.index()].read().clone()?;
-                    let rx = conn.submit(request)?;
-                    Some((conn, rx))
-                })
-            } else {
-                None
-            };
-            in_flight.push((t, slot));
-        }
-        let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
-        for (t, slot) in in_flight {
-            let reply = slot.and_then(|(conn, rx)| {
-                let response = rx.recv().ok().flatten();
-                conn.release_slot();
-                response.and_then(parse)
-            });
-            replies.push((t, reply));
-        }
-        if let Some(kind) = spec.reply_charge {
-            let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
-            self.counter
-                .add_many(spec.op, kind, spec.reply_units, gathered);
-        }
-        backend::truncate_to_threshold(&self.cfg, &mut replies, spec.gather);
         replies
     }
 }
@@ -964,7 +681,7 @@ impl Backend for TcpCluster {
     }
 
     fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from != to && !self.reachable(from, to) {
+        if !self.reachable(from, to) {
             return None;
         }
         let state = self.states.read()[to.index()];
@@ -972,13 +689,7 @@ impl Backend for TcpCluster {
     }
 
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::Vote(k))? {
-            WireResponse::Version(v) => Some(v),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::Vote(k))?.into_version()
     }
 
     fn fetch_block(
@@ -987,13 +698,7 @@ impl Backend for TcpCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::Fetch(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::Fetch(k))?.into_block()
     }
 
     fn fetch_lease(
@@ -1002,13 +707,7 @@ impl Backend for TcpCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::FetchLease(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::FetchLease(k))?.into_block()
     }
 
     fn block_locks(&self) -> &BlockLockTable {
@@ -1027,37 +726,25 @@ impl Backend for TcpCluster {
         data: &BlockData,
         v: VersionNumber,
     ) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
-        matches!(
-            self.rpc(to, WireRequest::ApplyWrite(k, v, data.clone())),
-            Some(WireResponse::Ack)
-        )
+        self.rpc(from, to, WireRequest::ApplyWrite(k, v, data.clone()))
+            .is_some_and(|r| r.is_ack())
     }
 
     fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        match self.rpc(s, WireRequest::ReadLocal(k)) {
-            Some(WireResponse::Data(data)) => data,
-            other => unreachable!("a site can always read its own disk (got {other:?})"),
-        }
+        self.rpc(s, s, WireRequest::ReadLocal(k))
+            .and_then(WireResponse::into_data)
+            .expect("a site can always read its own disk")
     }
 
     fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
-        match self.rpc(s, WireRequest::ReadLocalMany(ks.to_vec())) {
-            Some(WireResponse::DataMany(ds)) if ds.len() == ks.len() => ds,
-            other => unreachable!("a site can always read its own disk (got {other:?})"),
-        }
+        self.rpc(s, s, WireRequest::ReadLocalMany(ks.to_vec()))
+            .and_then(|r| r.into_data_many(ks.len()))
+            .expect("a site can always read its own disk")
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::VersionVector)? {
-            WireResponse::Vector(vv) => Some(vv),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::VersionVector)?
+            .into_vector()
     }
 
     fn repair_payload(
@@ -1066,51 +753,30 @@ impl Backend for TcpCluster {
         to: SiteId,
         vv: &VersionVector,
     ) -> Option<(VersionVector, RepairBlocks)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::RepairPayload(vv.clone()))? {
-            WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::RepairPayload(vv.clone()))?
+            .into_payload()
     }
 
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
         let n = blocks.len();
-        match self.rpc(s, WireRequest::ApplyRepair(blocks)) {
-            Some(WireResponse::Ack) => n,
+        match self.rpc(s, s, WireRequest::ApplyRepair(blocks)) {
+            Some(r) if r.is_ack() => n,
             _ => 0,
         }
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::GetW)? {
-            WireResponse::W(w) => Some(w),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::GetW)?.into_was_available()
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
-        matches!(
-            self.rpc(to, WireRequest::SetW(w.clone())),
-            Some(WireResponse::Ack)
-        )
+        self.rpc(from, to, WireRequest::SetW(w.clone()))
+            .is_some_and(|r| r.is_ack())
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
-        matches!(
-            self.rpc(to, WireRequest::AddW(member)),
-            Some(WireResponse::Ack)
-        )
+        self.rpc(from, to, WireRequest::AddW(member))
+            .is_some_and(|r| r.is_ack())
     }
 
     fn apply_write_faulty(
@@ -1122,40 +788,24 @@ impl Backend for TcpCluster {
         v: VersionNumber,
         fault: blockrep_storage::StorageFault,
     ) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
-        matches!(
-            self.rpc(to, WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)),
-            Some(WireResponse::Ack)
-        )
+        let request = WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault);
+        self.rpc(from, to, request).is_some_and(|r| r.is_ack())
     }
 
     fn scrub_local(&self, s: SiteId) -> usize {
-        match self.rpc(s, WireRequest::Scrub) {
-            Some(WireResponse::Count(n)) => n as usize,
-            _ => 0,
-        }
+        self.rpc(s, s, WireRequest::Scrub)
+            .and_then(WireResponse::into_count)
+            .map_or(0, |n| n as usize)
     }
 
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::VoteMany(ks.to_vec()))? {
-            WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
-            _ => None,
-        }
+        self.rpc(from, to, WireRequest::VoteMany(ks.to_vec()))?
+            .into_versions(ks.len())
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
-        matches!(
-            self.rpc(to, WireRequest::ApplyWriteMany(writes.clone())),
-            Some(WireResponse::Ack)
-        )
+        self.rpc(from, to, WireRequest::ApplyWriteMany(writes.clone()))
+            .is_some_and(|r| r.is_ack())
     }
 
     fn scatter(
@@ -1165,109 +815,28 @@ impl Backend for TcpCluster {
         targets: &[SiteId],
         req: &ScatterRequest,
     ) -> ScatterReplies {
-        if !self.parallel.load(Ordering::Relaxed) {
-            return backend::scatter_sequential(self, spec, origin, targets, req);
-        }
-        match req {
-            ScatterRequest::Vote(k) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::Vote(*k)),
-                |resp| match resp {
-                    WireResponse::Version(v) => Some(ScatterReply::Version(v)),
-                    _ => None,
-                },
-            ),
-            ScatterRequest::VersionVector => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::VersionVector),
-                |resp| match resp {
-                    WireResponse::Vector(vv) => Some(ScatterReply::Vector(vv)),
-                    _ => None,
-                },
-            ),
-            ScatterRequest::Install { k, v, data } => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::ApplyWrite(*k, *v, data.clone())),
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::InstallIfAvailable { k, v, data } => self.pipelined(
-                spec,
-                origin,
-                targets,
-                // The availability probe is a coordination-layer state read
-                // (no socket traffic), exactly as in the sequential body.
-                |t| {
-                    (self.probe_state(origin, t) == Some(SiteState::Available))
-                        .then(|| WireRequest::ApplyWrite(*k, *v, data.clone()))
-                },
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::VoteMany(ks) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::VoteMany(ks.clone())),
-                |resp| match resp {
-                    WireResponse::Versions(vs) if vs.len() == ks.len() => {
-                        Some(ScatterReply::Versions(vs))
-                    }
-                    _ => None,
-                },
-            ),
-            ScatterRequest::InstallMany(writes) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::ApplyWriteMany(writes.clone())),
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::InstallIfAvailableMany(writes) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                // The availability probe is a coordination-layer state read
-                // (no socket traffic), exactly as in the sequential body.
-                |t| {
-                    (self.probe_state(origin, t) == Some(SiteState::Available))
-                        .then(|| WireRequest::ApplyWriteMany(writes.clone()))
-                },
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
+        match req.wire_request() {
+            Some(request) if self.parallel.load(Ordering::Relaxed) => {
+                self.pipelined(spec, origin, targets, req, request)
+            }
             // Pure state probes never touch a socket; the sequential body
             // is already instantaneous.
-            ScatterRequest::ProbeState => {
-                backend::scatter_sequential(self, spec, origin, targets, req)
-            }
+            _ => backend::scatter_sequential(self, spec, origin, targets, req),
         }
     }
 }
 
 impl Drop for TcpCluster {
     fn drop(&mut self) {
-        // Tear down any mux connections first: their servers fall back to
-        // `accept`, and the corresponding classic connections were poisoned
-        // when multiplexing came on, so the loop below delivers Shutdown
-        // over fresh streams. (The off-path never errors.)
-        let _ = self.set_multiplexing(false);
-        for (i, conn) in self.conns.iter().enumerate() {
-            let mut conn = conn.lock();
-            if conn.poisoned {
-                // The healthy stream is gone. Hang up the old one so the
-                // server falls back to `accept`, then deliver Shutdown over
-                // a fresh connection.
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-                if let Ok(mut stream) = TcpStream::connect(self.addrs[i]) {
-                    let _ = wire::write_frame(&mut stream, &WireRequest::Shutdown.encode());
-                }
-            } else {
-                let _ = wire::write_frame(&mut conn.stream, &WireRequest::Shutdown.encode());
+        // Deliver Shutdown to every server — the server stops without
+        // replying — then close the connections, joining their readers.
+        for site in self.cfg.site_ids() {
+            if let Some(conn) = self.conn(site) {
+                let _ = conn.submit(WireRequest::Shutdown, None);
             }
+        }
+        for conn in &self.conns {
+            conn.read().close();
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -1382,51 +951,40 @@ mod tests {
         let k = BlockIndex::new(0);
         c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
         // Corrupt the conversation with site 1: the server rejects the
-        // frame and hangs up, so the next exchange on this stream tears.
-        wire::write_frame(&mut c.conns[1].lock().stream, &[0xFF]).unwrap();
-        assert_eq!(
-            c.vote(sid(0), sid(1), k),
-            None,
-            "the torn exchange must fail fast, not desync"
-        );
-        assert!(c.conns[1].lock().poisoned);
-        // The next exchange replaces the stream and succeeds.
+        // frame and hangs up, which kills the connection.
+        let torn = Arc::clone(&c.conns[1].read());
+        wire::write_frame(&mut torn.writer.lock().0, &[0xFF]).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !torn.is_dead() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the server never hung up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Every later exchange goes over a redialed connection instead of
+        // failing forever while writes quietly lose a vote.
         assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(1)));
-        assert!(!c.conns[1].lock().poisoned);
+        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(1)));
+        assert!(!Arc::ptr_eq(&torn, &c.conns[1].read()));
         // End-to-end traffic over the recovered connection still works.
         c.write(sid(2), k, BlockData::from(vec![4; 32])).unwrap();
         assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[4; 32]);
     }
 
     #[test]
-    fn mux_and_classic_agree_on_results_and_traffic() {
-        for scheme in Scheme::ALL {
-            let mux = tcp(scheme, 4);
-            mux.set_multiplexing(true).unwrap();
-            assert!(mux.multiplexing());
-            let plain = tcp(scheme, 4);
-            for c in [&mux, &plain] {
-                let k = BlockIndex::new(2);
-                c.write(sid(0), k, BlockData::from(vec![8; 32])).unwrap();
-                c.fail_site(sid(1));
-                c.write(sid(2), k, BlockData::from(vec![9; 32])).unwrap();
-                c.repair_site(sid(1));
-                assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[9; 32], "{scheme}");
-            }
-            assert_eq!(
-                mux.counter().snapshot(),
-                plain.counter().snapshot(),
-                "{scheme}: multiplexing must not change §5 counts"
-            );
-        }
+    fn multiplexing_is_the_only_transport() {
+        let c = tcp(Scheme::Voting, 3);
+        c.set_multiplexing(true).unwrap();
+        let err = c.set_multiplexing(false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }
 
     #[test]
-    fn mux_survives_toggling_and_concurrent_clients() {
+    fn mux_serves_concurrent_clients() {
         let c = Arc::new(tcp(Scheme::Voting, 3));
         let k = BlockIndex::new(0);
         c.write(sid(0), k, BlockData::from(vec![1; 32])).unwrap();
-        c.set_multiplexing(true).unwrap();
         // Many clients share the multiplexed sockets; every read must see a
         // committed value (one of the concurrently written ones).
         let writers: Vec<_> = (0..4u8)
@@ -1447,12 +1005,6 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        // Back to classic connections: the coordinator redials per site and
-        // traffic keeps flowing.
-        c.set_multiplexing(false).unwrap();
-        assert!(!c.multiplexing());
-        c.write(sid(1), k, BlockData::from(vec![5; 32])).unwrap();
-        assert_eq!(c.read(sid(2), k).unwrap().as_slice(), &[5; 32]);
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Wire format for the TCP transport.
+//! The protocol's message vocabulary and its wire format.
 //!
-//! Length-prefixed frames carrying a compact, hand-rolled binary encoding
-//! of the protocol's request/response vocabulary — what actually crosses
-//! the network when the reliable device runs as real server processes
-//! ([`TcpCluster`](crate::TcpCluster)). No serialization framework: the
-//! messages are nine shapes of integers, byte blocks and site sets, and a
-//! fuzzed round-trip property pins the format down.
+//! [`WireRequest`] and [`WireResponse`] are every message a site's server
+//! process understands and every answer it gives. Both message-passing
+//! runtimes speak them: [`LiveCluster`](crate::LiveCluster) hands the values
+//! over its channels unencoded, and [`TcpCluster`](crate::TcpCluster) frames
+//! them onto sockets in the compact, hand-rolled binary encoding below.
+//! Either way one dispatch, [`Replica::handle`](crate::Replica::handle),
+//! serves them. The typed readings of a reply (`into_*`) and the mapping
+//! of a [`ScatterRequest`] onto the wire also live here, so both runtimes
+//! parse answers the same way. No serialization framework: the messages
+//! are a few shapes of integers, byte blocks and site sets, and a fuzzed
+//! round-trip property pins the format down.
 
-use crate::backend::RepairBlocks;
+use crate::backend::{RepairBlocks, RepairPayload, ScatterReply, ScatterRequest};
 use blockrep_storage::StorageFault;
 use blockrep_types::{BlockData, BlockIndex, SiteId, VersionNumber, VersionVector};
 use bytes::{Buf, BufMut};
@@ -59,10 +64,8 @@ pub enum WireRequest {
     ReadLocalMany(Vec<BlockIndex>),
     /// A trace envelope: the inner request plus the coordinator's causal
     /// identifiers, so the serving site's phase spans stitch into the
-    /// coordinator's trace tree. Strictly optional — an untraced peer never
-    /// sees this tag (the coordinator only wraps frames after wire tracing
-    /// is switched on, and falls back to bare frames when a peer rejects
-    /// the envelope), so the format stays backward-compatible.
+    /// coordinator's trace tree. Sent whenever tracing is on and a span
+    /// context is live; on TCP it wraps the [`WireRequest::Mux`] envelope.
     Traced {
         /// The coordinator's trace id.
         trace_id: u64,
@@ -591,6 +594,128 @@ impl WireResponse {
     }
 }
 
+impl WireResponse {
+    /// The vote a [`WireResponse::Version`] reply carries.
+    pub fn into_version(self) -> Option<VersionNumber> {
+        let WireResponse::Version(v) = self else {
+            return None;
+        };
+        Some(v)
+    }
+
+    /// The versioned block a [`WireResponse::Block`] reply carries.
+    pub fn into_block(self) -> Option<(VersionNumber, BlockData)> {
+        let WireResponse::Block(v, data) = self else {
+            return None;
+        };
+        Some((v, data))
+    }
+
+    /// The raw block a [`WireResponse::Data`] reply carries.
+    pub fn into_data(self) -> Option<BlockData> {
+        let WireResponse::Data(data) = self else {
+            return None;
+        };
+        Some(data)
+    }
+
+    /// The version vector a [`WireResponse::Vector`] reply carries.
+    pub fn into_vector(self) -> Option<VersionVector> {
+        let WireResponse::Vector(vv) = self else {
+            return None;
+        };
+        Some(vv)
+    }
+
+    /// The repair payload a [`WireResponse::Payload`] reply carries.
+    pub fn into_payload(self) -> Option<RepairPayload> {
+        let WireResponse::Payload(vv, blocks) = self else {
+            return None;
+        };
+        Some((vv, blocks))
+    }
+
+    /// The was-available set a [`WireResponse::W`] reply carries.
+    pub fn into_was_available(self) -> Option<BTreeSet<SiteId>> {
+        let WireResponse::W(w) = self else {
+            return None;
+        };
+        Some(w)
+    }
+
+    /// The count a [`WireResponse::Count`] reply carries.
+    pub fn into_count(self) -> Option<u64> {
+        let WireResponse::Count(n) = self else {
+            return None;
+        };
+        Some(n)
+    }
+
+    /// The votes a [`WireResponse::Versions`] reply carries, if it answers
+    /// all `n` blocks asked about.
+    pub fn into_versions(self, n: usize) -> Option<Vec<VersionNumber>> {
+        match self {
+            WireResponse::Versions(vs) if vs.len() == n => Some(vs),
+            _ => None,
+        }
+    }
+
+    /// The blocks a [`WireResponse::DataMany`] reply carries, if it answers
+    /// all `n` blocks asked about.
+    pub fn into_data_many(self, n: usize) -> Option<Vec<BlockData>> {
+        match self {
+            WireResponse::DataMany(ds) if ds.len() == n => Some(ds),
+            _ => None,
+        }
+    }
+
+    /// Whether this is a plain acknowledgement.
+    pub fn is_ack(&self) -> bool {
+        matches!(self, WireResponse::Ack)
+    }
+
+    /// This reply read as one target's answer to the scatter `req`; `None`
+    /// when it has the wrong shape.
+    pub fn into_scatter_reply(self, req: &ScatterRequest) -> Option<ScatterReply> {
+        match req {
+            ScatterRequest::Vote(_) => self.into_version().map(ScatterReply::Version),
+            ScatterRequest::VersionVector => self.into_vector().map(ScatterReply::Vector),
+            ScatterRequest::VoteMany(ks) => {
+                self.into_versions(ks.len()).map(ScatterReply::Versions)
+            }
+            ScatterRequest::Install { .. }
+            | ScatterRequest::InstallIfAvailable { .. }
+            | ScatterRequest::InstallMany(_)
+            | ScatterRequest::InstallIfAvailableMany(_) => {
+                self.is_ack().then_some(ScatterReply::Delivered)
+            }
+            ScatterRequest::ProbeState => None,
+        }
+    }
+}
+
+impl ScatterRequest {
+    /// The request every target of this scatter is sent. `None` for
+    /// [`ScatterRequest::ProbeState`], a coordination-layer state read that
+    /// sends nothing.
+    pub fn wire_request(&self) -> Option<WireRequest> {
+        Some(match self {
+            ScatterRequest::Vote(k) => WireRequest::Vote(*k),
+            ScatterRequest::VersionVector => WireRequest::VersionVector,
+            ScatterRequest::Install { k, v, data }
+            | ScatterRequest::InstallIfAvailable { k, v, data } => {
+                WireRequest::ApplyWrite(*k, *v, data.clone())
+            }
+            ScatterRequest::VoteMany(ks) => WireRequest::VoteMany(ks.clone()),
+            ScatterRequest::InstallMany(writes)
+            | ScatterRequest::InstallIfAvailableMany(writes) => {
+                WireRequest::ApplyWriteMany(writes.clone())
+            }
+            ScatterRequest::ProbeState => return None,
+        })
+    }
+}
+
 /// Writes one length-prefixed frame.
 ///
 /// # Errors
@@ -820,7 +945,7 @@ mod tests {
         assert_eq!(WireRequest::decode(&encoded).unwrap(), traced);
 
         // A traced frame is exactly 17 bytes of envelope plus the inner
-        // frame — an untraced peer reads tag 17 and rejects it cleanly.
+        // frame.
         assert_eq!(encoded.len(), 17 + inner.encode().len());
         assert_eq!(encoded[0], 17);
 
@@ -831,6 +956,20 @@ mod tests {
         };
         let err = WireRequest::decode(&nested.encode()).unwrap_err();
         assert!(err.0.contains("nested"), "unexpected error: {err}");
+
+        // The TCP transport's nesting: the trace envelope around a mux one.
+        let traced_mux = WireRequest::Traced {
+            trace_id: 3,
+            parent_span: 4,
+            inner: Box::new(WireRequest::Mux {
+                id: 5,
+                inner: Box::new(inner),
+            }),
+        };
+        assert_eq!(
+            WireRequest::decode(&traced_mux.encode()).unwrap(),
+            traced_mux
+        );
 
         // Trailing garbage after the inner frame is still rejected.
         let mut trailing = encoded;

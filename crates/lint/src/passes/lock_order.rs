@@ -14,8 +14,8 @@
 //! The call graph is interprocedural one level deep and same-file: a call
 //! to a function that itself acquires locks propagates those acquisitions
 //! to the call site, and a callee whose signature returns a `*Guard` type
-//! (e.g. `TcpCluster::checkout`) counts as acquiring at the call site with
-//! the caller's extent rules.
+//! (e.g. `fn checkout(..) -> MutexGuard<..>`) counts as acquiring at the
+//! call site with the caller's extent rules.
 //!
 //! Findings: cross-lock cycles (potential deadlocks), re-acquisition of a
 //! held lock (self-deadlock with the vendored non-reentrant locks), and —
@@ -448,9 +448,10 @@ fn has_ascending_assert(toks: &[Token], range: (usize, usize)) -> bool {
     false
 }
 
-/// The `tcp.rs` conn-lock discipline: a loop that accumulates guards from
-/// an indexed lock family (guards escaping via `.push(..)`) must assert
-/// ascending acquisition order, or concurrent callers can deadlock.
+/// The `tcp.rs` discipline — the mux scatter claims per-site window slots
+/// in ascending site order — generalized: a loop that accumulates guards
+/// from an indexed lock family (guards escaping via `.push(..)`) must
+/// assert ascending acquisition order, or concurrent callers can deadlock.
 fn check_loop_discipline(
     file: &SourceFile,
     func: &crate::model::Function,
@@ -502,7 +503,8 @@ fn check_loop_discipline(
                                  across loop iterations without an ascending-order \
                                  assertion; concurrent callers locking the same sites in \
                                  a different order can deadlock — assert strictly \
-                                 ascending targets (see TcpCluster::pipelined)",
+                                 ascending targets (see the mux scatter's ascending \
+                                 window-slot discipline in TcpCluster::pipelined)",
                                 func.name
                             ),
                         ));

@@ -14,8 +14,8 @@ pub(crate) mod wire_tags;
 pub(crate) struct PassOutput {
     pub(crate) findings: Vec<Finding>,
     /// Positive confirmations of invariants the passes specifically looked
-    /// for (e.g. the ascending conn-lock discipline in `tcp.rs`), so a
-    /// clean run still proves the checks engaged.
+    /// for (e.g. the mux scatter's ascending window-slot discipline in
+    /// `tcp.rs`), so a clean run still proves the checks engaged.
     pub(crate) verified: Vec<String>,
 }
 

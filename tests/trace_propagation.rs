@@ -1,17 +1,15 @@
-//! Cross-site trace propagation and its compatibility story.
+//! Cross-site trace propagation.
 //!
 //! Two invariants share this binary (and a lock, since tracing is a
 //! process-global flag):
 //!
-//! 1. **Mixed versions degrade cleanly.** A traced coordinator talking to a
-//!    peer that predates the wire trace envelope gets a hangup on the first
-//!    traced frame, falls back to bare frames for that connection, and the
-//!    operation still succeeds — the causal tree simply misses that peer's
-//!    remote spans.
-//! 2. **Untraced-peer mode is byte-identical.** With tracing enabled but
-//!    wire tracing off (the default), every runtime produces exactly the
-//!    results and §5 traffic counts of a fully untraced run — the parity
-//!    the runtime suites pin survives turning the flight recorder on.
+//! 1. **Remote work joins the tree.** With tracing on, every request a TCP
+//!    coordinator sends over its multiplexed connections carries the trace
+//!    envelope, so each remote site's apply span stitches into the
+//!    coordinator's causal tree.
+//! 2. **Tracing changes no outcome.** With the flight recorder on — and
+//!    hence the envelope on every frame — every runtime produces exactly
+//!    the results and §5 traffic counts of a fully untraced run.
 
 use blockrep::core::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
 use blockrep::net::{DeliveryMode, TrafficSnapshot};
@@ -53,49 +51,34 @@ fn remote_applies_by_site(site: u32) -> usize {
 }
 
 #[test]
-fn traced_coordinator_falls_back_to_bare_frames_for_untraced_peers() {
+fn mux_frames_carry_trace_context_to_every_remote_site() {
     let _serial = TRACER_LOCK.lock().unwrap();
     let was_obs = obs::enabled();
     let was_tracing = trace::enabled();
     trace::enable();
-    trace::clear();
 
     let tcp = TcpCluster::spawn(cfg(Scheme::Voting), DeliveryMode::Multicast).unwrap();
-    tcp.set_wire_tracing(true);
-    // Site 2 runs the "old" protocol: traced frames make it hang up.
-    tcp.set_untraced_peer(s(2), true);
-
-    // Single-op path (`rpc`): the first scatter to site 2 is traced, gets
-    // the hangup, and is retried bare on a fresh connection.
-    tcp.write(s(0), blk(0), fill(1)).unwrap();
-    // Batched path (`pipelined`): retries happen after the gather loop.
-    tcp.write_many(s(0), &[(blk(1), fill(2)), (blk(2), fill(3))])
-        .unwrap();
-    assert_eq!(tcp.read(s(1), blk(0)).unwrap(), fill(1));
-    assert_eq!(tcp.read(s(2), blk(1)).unwrap(), fill(2));
-    assert_eq!(tcp.read(s(0), blk(2)).unwrap(), fill(3));
-
-    // The traced peer contributed remote spans; the legacy one could not.
-    assert!(
-        remote_applies_by_site(1) > 0,
-        "traced peer must stitch remote apply spans into the tree"
-    );
-    assert_eq!(
-        remote_applies_by_site(2),
-        0,
-        "legacy peer cannot emit remote spans"
-    );
-
-    // An upgraded peer starts stitching in without reconnect gymnastics:
-    // clearing the legacy flag also re-arms the connection's trace_ok.
-    tcp.set_untraced_peer(s(2), false);
-    trace::clear();
-    tcp.write(s(0), blk(3), fill(4)).unwrap();
-    assert_eq!(tcp.read(s(1), blk(3)).unwrap(), fill(4));
-    assert!(
-        remote_applies_by_site(2) > 0,
-        "upgraded peer must resume emitting remote spans"
-    );
+    tcp.set_multiplexing(true).unwrap();
+    let ops: [(&str, &dyn Fn()); 3] = [
+        ("write", &|| tcp.write(s(0), blk(0), fill(1)).unwrap()),
+        ("write_many", &|| {
+            tcp.write_many(s(0), &[(blk(1), fill(2)), (blk(2), fill(3))])
+                .unwrap()
+        }),
+        ("read", &|| {
+            assert_eq!(tcp.read(s(0), blk(0)).unwrap(), fill(1))
+        }),
+    ];
+    for (name, op) in ops {
+        trace::clear();
+        op();
+        for site in [1, 2] {
+            assert!(
+                remote_applies_by_site(site) > 0,
+                "{name}: site {site} must stitch remote apply spans into the tree"
+            );
+        }
+    }
 
     if !was_tracing {
         trace::disable();
@@ -128,7 +111,7 @@ fn drive(
 }
 
 #[test]
-fn untraced_peer_mode_keeps_runtime_parity_byte_identical() {
+fn tracing_on_keeps_runtime_parity_byte_identical() {
     let _serial = TRACER_LOCK.lock().unwrap();
     let was_obs = obs::enabled();
     let was_tracing = trace::enabled();
@@ -147,9 +130,9 @@ fn untraced_peer_mode_keeps_runtime_parity_byte_identical() {
                 &|| det.traffic(),
             );
 
-            // Same workload with the flight recorder armed. Wire tracing
-            // stays off (the default): frames are byte-identical, so the
-            // §5 accounting must be too.
+            // Same workload with the flight recorder armed, so every
+            // message carries the trace envelope. §5 counts high-level
+            // transmissions, not bytes, so the accounting must not move.
             trace::enable();
 
             let det2 = Cluster::new(cfg(scheme), ClusterOptions { mode });
