@@ -978,6 +978,46 @@ mod tests {
     }
 
     #[test]
+    fn fsck_journal_refuses_an_older_journal_format() -> Result<(), UsageError> {
+        use blockrep_storage::{BlockDevice, FileStore};
+        use blockrep_types::{BlockData, BlockIndex};
+        let mut path = std::env::temp_dir();
+        path.push(format!("blockrep-cli-fsck-wal1-{}.img", std::process::id()));
+        let path_str = path
+            .to_str()
+            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
+            .to_string();
+        run(&parsed(&["mkfs", &path_str, "--blocks", "128"]))?;
+        // A format-1 journal superblock over an unreplayed record region.
+        let wal_path = format!("{path_str}.wal");
+        let journal = FileStore::create(&wal_path, 4, 512)
+            .map_err(|e| UsageError(format!("journal create: {e}")))?;
+        let mut sb = vec![0u8; 512];
+        sb[..4].copy_from_slice(b"BRWL");
+        sb[4..8].copy_from_slice(&1u32.to_le_bytes());
+        sb[8..16].copy_from_slice(&1u64.to_le_bytes());
+        journal
+            .write_block(BlockIndex::new(0), BlockData::from(sb))
+            .and_then(|()| journal.write_block(BlockIndex::new(1), BlockData::from(vec![7; 512])))
+            .map_err(|e| UsageError(format!("journal write: {e}")))?;
+        drop(journal);
+        let before = std::fs::read(&wal_path)?;
+        let err = match run(&parsed(&["fsck", &path_str, "--journal"])) {
+            Ok(()) => return Err(UsageError("fsck accepted a format-1 journal".into())),
+            Err(e) => e,
+        };
+        assert!(err.0.contains("format 1"), "{}", err.0);
+        assert_eq!(
+            std::fs::read(&wal_path)?,
+            before,
+            "the journal was rewritten"
+        );
+        std::fs::remove_file(path)?;
+        std::fs::remove_file(wal_path)?;
+        Ok(())
+    }
+
+    #[test]
     fn bench_storage_suite_writes_and_checks_a_report() -> Result<(), UsageError> {
         let mut path = std::env::temp_dir();
         path.push(format!(

@@ -116,26 +116,27 @@ impl Replica {
         v: VersionNumber,
         torn: Option<usize>,
     ) {
+        let Some(journal) = &mut self.journal else {
+            return;
+        };
         // Mirror the store's monotone guard: a stale install never starts
         // any disk activity, so it must not reach the journal either.
-        if self.journal.is_none() || v <= self.store.version(k) {
+        if v <= self.store.version(k) {
             return;
         }
-        let encoded = wal::encode_record(
-            JOURNAL_EPOCH,
-            &WalRecord {
-                block: k,
-                version: v,
-                payload: data.clone(),
-            },
-        );
-        let keep = torn.unwrap_or(encoded.len()).min(encoded.len());
-        if let Some(journal) = &mut self.journal {
-            if journal.len() + keep > JOURNAL_CAPACITY {
-                journal.clear();
-            }
-            journal.extend_from_slice(&encoded[..keep]);
+        let rec = WalRecord {
+            block: k,
+            version: v,
+            payload: data.clone(),
+        };
+        let len = rec.encoded_len();
+        let keep = torn.unwrap_or(len).min(len);
+        if journal.len() + keep > JOURNAL_CAPACITY {
+            journal.clear();
         }
+        let start = journal.len();
+        wal::encode_record_into(journal, JOURNAL_EPOCH, &rec);
+        journal.truncate(start + keep);
     }
 
     /// Installs a block at a version if newer than the local copy; returns

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub mod checksum;
 mod device;
 mod file;
 mod mem;

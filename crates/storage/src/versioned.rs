@@ -1,5 +1,6 @@
 //! Versioned per-site storage.
 
+use crate::checksum::xxh64;
 use blockrep_types::{BlockData, BlockIndex, VersionNumber, VersionVector};
 
 /// A fault injected into the *storage* layer at install time, modelling the
@@ -38,18 +39,12 @@ pub enum StorageFault {
     },
 }
 
-/// FNV-1a over the version number followed by the block data — cheap,
-/// deterministic, and dependency-free; collision resistance is irrelevant
-/// here because the threat model is a crash, not an adversary.
-fn checksum(v: VersionNumber, data: &BlockData) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in v.as_u64().to_le_bytes().iter().chain(data.as_slice()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+/// The block checksum: [XXH64](crate::checksum) of the data, seeded with
+/// the version number so the sum binds the version as well as the bytes.
+/// Collision resistance is irrelevant here because the threat model is a
+/// crash, not an adversary.
+pub(crate) fn checksum(v: VersionNumber, data: &BlockData) -> u64 {
+    xxh64(data.as_slice(), v.as_u64())
 }
 
 /// A site's disk as the consistency protocols see it: every block carries a

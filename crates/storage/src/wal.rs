@@ -23,11 +23,14 @@
 //! [len: u32] [crc: u64] [block: u64] [version: u64] [payload: len-16 bytes]
 //! ```
 //!
-//! all little-endian, where `crc` is FNV-1a over the journal **epoch**
-//! followed by `block`, `version` and the payload. Folding the epoch into
-//! the checksum is what makes truncation cheap: bumping the epoch in the
-//! superblock invalidates every record byte still sitting in the data
-//! region, so truncate never has to erase anything.
+//! all little-endian, where `crc` is the [XXH64](crate::checksum) of the
+//! payload seeded with the XXH64 of the journal **epoch**, `block` and
+//! `version`. Folding the epoch into the checksum is what makes truncation
+//! cheap: bumping the epoch in the superblock invalidates every record byte
+//! still sitting in the data region, so truncate never has to erase
+//! anything. The superblock's own checksum is XXH64 too; that checksum
+//! scheme is on-device format 2, and [`Wal::open`] refuses a journal of any
+//! other format rather than reformat it.
 //!
 //! # Recovery
 //!
@@ -40,6 +43,7 @@
 //! whose group commit had not yet returned — exactly the writes that were
 //! never acknowledged.
 
+use crate::checksum::xxh64;
 use crate::BlockDevice;
 use blockrep_obs::metrics::{global, Counter};
 use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, VersionNumber};
@@ -49,8 +53,8 @@ use std::sync::{Arc, OnceLock};
 
 /// Superblock magic: "BRWL" (blockrep write-ahead log).
 const MAGIC: [u8; 4] = *b"BRWL";
-/// On-device format version.
-const FORMAT: u32 = 1;
+/// On-device format version, the one [`Wal::open`] reads.
+const FORMAT: u32 = 2;
 /// Bytes of the superblock that carry data (magic + format + epoch +
 /// committed length + checksum).
 const SUPERBLOCK_LEN: usize = 4 + 4 + 8 + 8 + 8;
@@ -60,20 +64,14 @@ const RECORD_HEADER: usize = 4 + 8 + 8 + 8;
 /// Fixed portion counted by a record's `len` field (`block` + `version`).
 const RECORD_FIXED: u32 = 16;
 
-/// FNV-1a, the same dependency-free checksum the
-/// [`VersionedStore`](crate::VersionedStore) uses per block; the threat
-/// model is a crash, not an adversary.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for chunk in chunks {
-        for b in *chunk {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
+/// The record checksum: binds the journal epoch, the block, the version
+/// and the payload.
+pub(crate) fn record_crc(epoch: u64, block: u64, version: u64, payload: &[u8]) -> u64 {
+    let mut fields = [0u8; 24];
+    fields[..8].copy_from_slice(&epoch.to_le_bytes());
+    fields[8..16].copy_from_slice(&block.to_le_bytes());
+    fields[16..].copy_from_slice(&version.to_le_bytes());
+    xxh64(payload, xxh64(&fields, 0))
 }
 
 /// One journal entry: the `(block, version-vector line, payload)` triple of
@@ -97,20 +95,25 @@ impl WalRecord {
 
 /// Encodes one record for journal `epoch`.
 pub fn encode_record(epoch: u64, rec: &WalRecord) -> Vec<u8> {
-    let len = RECORD_FIXED + rec.payload.len() as u32;
-    let crc = fnv1a(&[
-        &epoch.to_le_bytes(),
-        &rec.block.as_u64().to_le_bytes(),
-        &rec.version.as_u64().to_le_bytes(),
-        rec.payload.as_slice(),
-    ]);
     let mut out = Vec::with_capacity(rec.encoded_len());
+    encode_record_into(&mut out, epoch, rec);
+    out
+}
+
+/// Appends the encoding of one record for journal `epoch` to `out` — the
+/// in-place form of [`encode_record`] for callers that keep a record
+/// stream.
+pub fn encode_record_into(out: &mut Vec<u8>, epoch: u64, rec: &WalRecord) {
+    let len = RECORD_FIXED + rec.payload.len() as u32;
+    let block = rec.block.as_u64();
+    let version = rec.version.as_u64();
+    let crc = record_crc(epoch, block, version, rec.payload.as_slice());
+    out.reserve(rec.encoded_len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&rec.block.as_u64().to_le_bytes());
-    out.extend_from_slice(&rec.version.as_u64().to_le_bytes());
+    out.extend_from_slice(&block.to_le_bytes());
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(rec.payload.as_slice());
-    out
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
@@ -146,13 +149,7 @@ pub fn decode_record(epoch: u64, bytes: &[u8]) -> Option<(WalRecord, usize)> {
     let block = read_u64(bytes, 12);
     let version = read_u64(bytes, 20);
     let payload = &bytes[RECORD_HEADER..total];
-    let expect = fnv1a(&[
-        &epoch.to_le_bytes(),
-        &block.to_le_bytes(),
-        &version.to_le_bytes(),
-        payload,
-    ]);
-    if crc != expect {
+    if crc != record_crc(epoch, block, version, payload) {
         return None;
     }
     Some((
@@ -297,9 +294,15 @@ impl<J: BlockDevice> Wal<J> {
     /// data region to keep stale records of unknowable epochs from ever
     /// replaying.
     ///
+    /// A superblock with the journal magic but another format version is
+    /// not torn: it is a journal this build cannot read, whose records may
+    /// never have been replayed. It is refused, and nothing is written.
+    ///
     /// # Errors
     ///
-    /// Propagates device errors from the scan or the reformat.
+    /// Returns [`DeviceError::UnsupportedFormat`] for a journal of another
+    /// format version, and propagates device errors from the scan or the
+    /// reformat.
     ///
     /// # Panics
     ///
@@ -308,9 +311,16 @@ impl<J: BlockDevice> Wal<J> {
         let mut wal = Wal::bare(dev, batch_window, 1);
         let sb = wal.dev.read_block(BlockIndex::new(0))?;
         let sb = sb.as_slice();
+        let format = read_u32(sb, 4);
+        if sb[..4] == MAGIC && format != FORMAT {
+            return Err(DeviceError::UnsupportedFormat {
+                what: "journal",
+                found: format,
+                supported: FORMAT,
+            });
+        }
         let valid_superblock = sb[..4] == MAGIC
-            && read_u32(sb, 4) == FORMAT
-            && read_u64(sb, SUPERBLOCK_LEN - 8) == fnv1a(&[&sb[..SUPERBLOCK_LEN - 8]]);
+            && read_u64(sb, SUPERBLOCK_LEN - 8) == xxh64(&sb[..SUPERBLOCK_LEN - 8], 0);
         if !valid_superblock {
             let zero = BlockData::zeroed(wal.dev.block_size());
             let wipe: Vec<(BlockIndex, BlockData)> = (1..wal.dev.num_blocks())
@@ -408,7 +418,7 @@ impl<J: BlockDevice> Wal<J> {
         sb[4..8].copy_from_slice(&FORMAT.to_le_bytes());
         sb[8..16].copy_from_slice(&epoch.to_le_bytes());
         sb[16..24].copy_from_slice(&committed_len.to_le_bytes());
-        let crc = fnv1a(&[&sb[..SUPERBLOCK_LEN - 8]]);
+        let crc = xxh64(&sb[..SUPERBLOCK_LEN - 8], 0);
         sb[24..SUPERBLOCK_LEN].copy_from_slice(&crc.to_le_bytes());
         self.dev
             .write_block(BlockIndex::new(0), BlockData::from(sb))
@@ -483,8 +493,8 @@ impl<J: BlockDevice> Wal<J> {
                 "journal data region is full; checkpoint and truncate first",
             )));
         }
-        let encoded = encode_record(state.epoch, rec);
-        state.buf.extend_from_slice(&encoded);
+        let epoch = state.epoch;
+        encode_record_into(&mut state.buf, epoch, rec);
         state.pending += 1;
         state.stats.appends += 1;
         if blockrep_obs::enabled() {
@@ -1142,6 +1152,42 @@ mod tests {
         for b in 1..8 {
             assert!(dev.read_block(BlockIndex::new(b)).unwrap().is_zeroed());
         }
+    }
+
+    #[test]
+    fn open_refuses_an_older_format_and_writes_nothing() {
+        let dev = std::sync::Arc::new(MemStore::new(8, 64));
+        // A format-1 journal holding records never replayed. The format
+        // field alone decides, so the checksum bytes are arbitrary.
+        let mut sb = vec![0u8; 64];
+        sb[..4].copy_from_slice(&MAGIC);
+        sb[4..8].copy_from_slice(&1u32.to_le_bytes());
+        sb[8..16].copy_from_slice(&3u64.to_le_bytes());
+        sb[16..24].copy_from_slice(&64u64.to_le_bytes());
+        sb[24..32].copy_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        dev.write_block(BlockIndex::new(0), BlockData::from(sb))
+            .unwrap();
+        dev.write_block(BlockIndex::new(1), BlockData::from(vec![0x5A; 64]))
+            .unwrap();
+        let image = |dev: &MemStore| -> Vec<BlockData> {
+            (0..8)
+                .map(|b| dev.read_block(BlockIndex::new(b)).unwrap())
+                .collect()
+        };
+        let before = image(&dev);
+        let err = Wal::open(std::sync::Arc::clone(&dev), 1).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DeviceError::UnsupportedFormat {
+                    what: "journal",
+                    found: 1,
+                    supported: 2
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(image(&dev), before, "a refused journal is left untouched");
     }
 
     #[test]

@@ -46,6 +46,16 @@ pub enum DeviceError {
     Io(std::io::Error),
     /// Invalid configuration, e.g. zero sites or inconsistent quorums.
     InvalidConfig(String),
+    /// Stored state in an on-device format this build does not read, e.g.
+    /// a journal written before a format change.
+    UnsupportedFormat {
+        /// What carries the format ("journal", …).
+        what: &'static str,
+        /// The format version found on the device.
+        found: u32,
+        /// The only format version this build reads.
+        supported: u32,
+    },
 }
 
 impl fmt::Display for DeviceError {
@@ -75,6 +85,14 @@ impl fmt::Display for DeviceError {
             }
             DeviceError::Io(e) => write!(f, "storage i/o error: {e}"),
             DeviceError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            DeviceError::UnsupportedFormat {
+                what,
+                found,
+                supported,
+            } => write!(
+                f,
+                "{what} has on-device format {found}; this build reads only format {supported}"
+            ),
         }
     }
 }
